@@ -119,47 +119,45 @@ class ClusterNode:
         trading the cooperative invariant for availability.
         """
         peer = self.store.nodes[owner]
-        done = Event(self.sim, name=f"{self.name}.peer:{path}")
+        done = Event(self.sim)
+        tel = self.sim.telemetry
+        span = None
+        if tel is not None:
+            span = tel.begin(
+                "cluster.remote_read", f"cluster.{self.name}", "cluster",
+                lane=True, path=path, owner=owner,
+            )
 
-        def fetch():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    "cluster.remote_read", f"cluster.{self.name}", "cluster",
-                    lane=True, path=path, owner=owner,
-                )
-            try:
-                nbytes = yield peer.channel.request_with_retry(
-                    peer.serve, path,
-                    policy=self.retry_policy, timeout=self.rpc_timeout,
-                )
-            except RpcError:
-                self.counters.add("peer_misses")
-                self.counters.add("fallback_reads")
-                if tel is not None:
-                    tel.registry.counter(
-                        "cluster.peer_misses_total", object=self.name
-                    ).inc()
-                try:
-                    nbytes = yield self.store.backing_read(path)
-                except BaseException as exc:
-                    if span is not None:
-                        tel.end(span, outcome="error", error=type(exc).__name__)
-                    raise
-                if span is not None:
-                    tel.end(span, outcome="fallback")
-                return nbytes
+        def fail(exc: BaseException) -> None:
+            if span is not None:
+                tel.end(span, outcome="error", error=type(exc).__name__)
+            done.fail(exc)
+
+        def served(nbytes: int, outcome: str) -> None:
+            if span is not None:
+                tel.end(span, outcome=outcome)
+            done.succeed(nbytes)
+
+        def peer_served(nbytes: int) -> None:
             self.counters.add("peer_hits")
             if tel is not None:
-                tel.registry.counter(
-                    "cluster.peer_hits_total", object=self.name
-                ).inc()
-                tel.end(span, outcome="peer")
-            return nbytes
+                tel.registry.counter("cluster.peer_hits_total", object=self.name).inc()
+            served(nbytes, "peer")
 
-        proc = self.sim.process(fetch(), name=f"{self.name}.peer_fetch")
-        return chain_result(proc, done)
+        def fall_back(exc: BaseException) -> None:
+            if not isinstance(exc, RpcError):
+                fail(exc)
+                return
+            self.counters.add("peer_misses")
+            self.counters.add("fallback_reads")
+            if tel is not None:
+                tel.registry.counter("cluster.peer_misses_total", object=self.name).inc()
+            self.store.backing_read(path).then(lambda n: served(n, "fallback"), fail)
+
+        peer.channel.request_with_retry(
+            peer.serve, path, policy=self.retry_policy, timeout=self.rpc_timeout,
+        ).then(peer_served, fall_back)
+        return done
 
     # -- service path -----------------------------------------------------------
     def serve(self, path: str) -> Event:

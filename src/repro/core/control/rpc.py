@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ...simcore.errors import ProcessError, SimulationError
+from ...simcore.errors import SimulationError
 from ...simcore.event import Event
 from ...telemetry import CounterSet
 
@@ -144,73 +144,78 @@ class ControlChannel:
         return self._dropping or self._extra_delay > 0
 
     # -- data path --------------------------------------------------------------
-    def _round_trip(self, fn: Callable[..., Any], args: tuple, awaited: bool):
-        """One request/reply exchange (generator body shared by call/request).
+    def _far_side_failure(self, exc: BaseException) -> RpcError:
+        """Type a far-side failure: nested RPC errors pass through as-is."""
+        if isinstance(exc, RpcError):
+            # A nested RPC failure on the far side is still a far-side
+            # failure from this channel's point of view.
+            return exc
+        err = RpcApplicationError(f"{self.name}: far side raised {type(exc).__name__}")
+        err.__cause__ = exc
+        return err
+
+    def _dispatch(self, fn, args, timeout: Optional[float], awaited: bool) -> Event:
+        """One request/reply exchange with timeout plumbing (shared by
+        call/request); returns the caller event.
 
         ``awaited`` selects data-plane semantics: a far-side return value
         that is itself an :class:`Event` is waited on before the reply leg,
-        and its failure is a far-side (application) failure.
+        and its failure is a far-side (application) failure.  Whichever of
+        reply, failure or timeout settles the caller event first wins; the
+        exchange still runs to completion, so a late reply is discarded.
         """
-        one_way = self.latency + self._extra_delay
-        if one_way > 0:
-            yield self.sim.timeout(one_way)
-        if self._dropping:
-            self.counters.add("drops")
-            raise RpcTransportError(f"{self.name}: request dropped")
-        try:
-            result = fn(*args)
-            if awaited and isinstance(result, Event):
-                result = yield result
-        except RpcError:
-            # A nested RPC failure on the far side is still a far-side
-            # failure from this channel's point of view.
-            raise
-        except Exception as exc:  # noqa: BLE001 - typed and re-raised
-            raise RpcApplicationError(
-                f"{self.name}: far side raised {type(exc).__name__}"
-            ) from exc
-        one_way = self.latency + self._extra_delay
-        if one_way > 0:
-            yield self.sim.timeout(one_way)
-        if self._dropping:
-            self.counters.add("drops")
-            raise RpcTransportError(f"{self.name}: reply dropped")
-        return result
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be positive")
+        sim = self.sim
+        done = Event(sim)
 
-    def _dispatch(self, fn, args, timeout: Optional[float], awaited: bool, label: str) -> Event:
-        """Run one round trip with timeout plumbing; returns the caller event."""
-        done = Event(self.sim, name=f"{self.name}.{label}")
-        proc = self.sim.process(
-            self._round_trip(fn, args, awaited), name=f"{self.name}.rpc"
-        )
+        def fail(exc: BaseException) -> None:
+            if not done.triggered:
+                done.fail(exc)
 
-        def settle(p: Event) -> None:
-            if done.triggered:
-                return  # the timeout beat us; late replies are discarded
-            if p.ok:
-                done.succeed(p.value)
+        def leg(what: str, then: Callable[..., None], *payload: Any) -> None:
+            """One one-way hop; a message landing while the channel drops is lost."""
+
+            def land(_ev: Optional[Event] = None) -> None:
+                if self._dropping:
+                    self.counters.add("drops")
+                    fail(RpcTransportError(f"{self.name}: {what} dropped"))
+                else:
+                    then(*payload)
+
+            one_way = self.latency + self._extra_delay
+            if one_way > 0:
+                sim.timeout(one_way).add_callback(land)
+            else:
+                land()
+
+        def replied(result: Any) -> None:
+            if not done.triggered:
+                done.succeed(result)
+
+        def arrived() -> None:
+            try:
+                result = fn(*args)
+            except Exception as exc:  # noqa: BLE001 - typed and re-raised
+                fail(self._far_side_failure(exc))
                 return
-            exc = p.exception
-            # The kernel wraps process deaths in ProcessError; unwrap so
-            # callers see the typed RPC exception, not a generic shroud.
-            cause = exc.__cause__ if isinstance(exc, ProcessError) else exc
-            if isinstance(cause, RpcError):
-                done.fail(cause)
-            else:  # pragma: no cover - defensive: nothing else should escape
-                done.fail(RpcTransportError(f"{self.name}: channel failure: {cause!r}"))
+            if awaited and isinstance(result, Event):
+                result.then(
+                    lambda value: leg("reply", replied, value),
+                    lambda exc: fail(self._far_side_failure(exc)),
+                )
+            else:
+                leg("reply", replied, result)
 
-        proc.add_callback(settle)
+        leg("request", arrived)
         if timeout is not None:
-            if timeout <= 0:
-                raise ValueError("timeout must be positive")
 
             def expire(_ev: Event) -> None:
-                if done.triggered:
-                    return
-                self.counters.add("timeouts")
-                done.fail(RpcTimeout(f"{self.name}: no reply within {timeout:g}s"))
+                if not done.triggered:
+                    self.counters.add("timeouts")
+                    done.fail(RpcTimeout(f"{self.name}: no reply within {timeout:g}s"))
 
-            self.sim.timeout(timeout).add_callback(expire)
+            sim.timeout(timeout).add_callback(expire)
         return done
 
     def call(self, fn: Callable[..., Any], *args: Any, timeout: Optional[float] = None) -> Event:
@@ -224,7 +229,7 @@ class ControlChannel:
         real RPC layer has.
         """
         self.counters.add("calls")
-        return self._dispatch(fn, args, timeout, awaited=False, label="call")
+        return self._dispatch(fn, args, timeout, awaited=False)
 
     def request(self, fn: Callable[..., Any], *args: Any, timeout: Optional[float] = None) -> Event:
         """Data-plane request: like :meth:`call`, but the far side may defer.
@@ -238,58 +243,7 @@ class ControlChannel:
         including the far-side service time.
         """
         self.counters.add("requests")
-        return self._dispatch(fn, args, timeout, awaited=True, label="request")
-
-    def _retrying(
-        self,
-        invoke: Callable[..., Event],
-        fn: Callable[..., Any],
-        args: tuple,
-        pol: RetryPolicy,
-        timeout: Optional[float],
-        label: str,
-    ) -> Event:
-        """Backoff/budget loop shared by call_with_retry / request_with_retry."""
-        done = Event(self.sim, name=f"{self.name}.{label}")
-
-        def attempt_loop():
-            start = self.sim.now
-            last: Optional[RpcError] = None
-            for attempt in range(pol.max_attempts):
-                if attempt > 0:
-                    backoff = pol.delay_for(attempt)
-                    if self.sim.now + backoff - start > pol.budget:
-                        break  # the backoff alone would blow the budget
-                    self.counters.add("retries")
-                    if backoff > 0:
-                        yield self.sim.timeout(backoff)
-                try:
-                    result = yield invoke(fn, *args, timeout=timeout)
-                except RpcApplicationError:
-                    raise
-                except RpcError as exc:
-                    last = exc
-                    if self.sim.now - start >= pol.budget:
-                        break
-                    continue
-                return result
-            raise RpcRetriesExhausted(
-                f"{self.name}: gave up after {pol.max_attempts} attempts / "
-                f"{pol.budget:g}s budget"
-            ) from last
-
-        proc = self.sim.process(attempt_loop(), name=f"{self.name}.rpc_retry")
-
-        def settle(p: Event) -> None:
-            if p.ok:
-                done.succeed(p.value)
-                return
-            exc = p.exception
-            cause = exc.__cause__ if isinstance(exc, ProcessError) else exc
-            done.fail(cause if isinstance(cause, RpcError) else exc)
-
-        proc.add_callback(settle)
-        return done
+        return self._dispatch(fn, args, timeout, awaited=True)
 
     def call_with_retry(
         self,
@@ -306,9 +260,9 @@ class ControlChannel:
         attempt count or the time budget runs out the event fails with
         :class:`RpcRetriesExhausted` chaining the last transport error.
         """
-        return self._retrying(
-            self.call, fn, args, policy or RetryPolicy(), timeout, "call_retry"
-        )
+        return _RetryLoop(
+            self, lambda: self.call(fn, *args, timeout=timeout), policy or RetryPolicy()
+        ).done
 
     def request_with_retry(
         self,
@@ -325,6 +279,60 @@ class ControlChannel:
         now in its tier); retries are therefore idempotent reads, and peer
         caches must coalesce duplicate in-flight fetches.
         """
-        return self._retrying(
-            self.request, fn, args, policy or RetryPolicy(), timeout, "request_retry"
+        return _RetryLoop(
+            self, lambda: self.request(fn, *args, timeout=timeout), policy or RetryPolicy()
+        ).done
+
+
+class _RetryLoop:
+    """One logical call under a :class:`RetryPolicy`.
+
+    Each attempt's completion callback either settles :attr:`done` or
+    schedules the next attempt after its backoff.  A plain object rather
+    than a pair of mutually-referencing closures, so a finished loop is
+    freed by reference counting instead of waiting for the cycle collector.
+    """
+
+    __slots__ = ("channel", "send", "policy", "done", "start", "attempt")
+
+    def __init__(
+        self, channel: ControlChannel, send: Callable[[], Event], policy: RetryPolicy
+    ) -> None:
+        self.channel = channel
+        self.send = send
+        self.policy = policy
+        self.done = Event(channel.sim)
+        self.start = channel.sim.now
+        self.attempt = 0
+        self.issue()
+
+    def issue(self, _ev: Optional[Event] = None) -> None:
+        self.send().add_callback(self.answered)
+
+    def answered(self, ev: Event) -> None:
+        exc = ev.exception
+        if exc is None:
+            self.done.succeed(ev.value)
+            return
+        if isinstance(exc, RpcApplicationError) or not isinstance(exc, RpcError):
+            self.done.fail(exc)
+            return
+        channel, pol = self.channel, self.policy
+        now = channel.sim.now
+        self.attempt += 1
+        if now - self.start < pol.budget and self.attempt < pol.max_attempts:
+            backoff = pol.delay_for(self.attempt)
+            # Skip the retry when the backoff alone would blow the budget.
+            if now + backoff - self.start <= pol.budget:
+                channel.counters.add("retries")
+                if backoff > 0:
+                    channel.sim.timeout(backoff).add_callback(self.issue)
+                else:
+                    self.issue()
+                return
+        err = RpcRetriesExhausted(
+            f"{channel.name}: gave up after {pol.max_attempts} attempts / "
+            f"{pol.budget:g}s budget"
         )
+        err.__cause__ = exc
+        self.done.fail(err)

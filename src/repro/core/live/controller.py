@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from ..control.kernel import ControlCycle, DirectTransport, GlobalPolicy, StagePort
 from ..control.monitor import MetricsHistory
-from ..control.policy import ControlPolicy, PrismaAutotunePolicy
+from ..control.policy import AutotuneParams, ControlPolicy, PrismaAutotunePolicy
 from ..control.rpc import RetryPolicy
 from ..optimization import MetricsSnapshot
 from .prefetcher import LivePrefetcher
@@ -91,7 +91,10 @@ class LiveController:
         self.policy = policy
         if prefetcher is not None:
             if policy is None and global_policy is None:
-                self.policy = policy = PrismaAutotunePolicy()
+                # The tuner may never ask for more producers than the
+                # prefetcher accepts.
+                cap = min(AutotuneParams.max_producers, prefetcher.max_producers)
+                self.policy = policy = PrismaAutotunePolicy(AutotuneParams(max_producers=cap))
             self.register(prefetcher, policy)
         #: set if the control thread died on an unexpected error
         self.error: Optional[BaseException] = None

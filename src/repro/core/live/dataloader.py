@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Tuple
 
-from ..control.policy import ControlPolicy, PrismaAutotunePolicy, StaticPolicy
+from ..control.policy import ControlPolicy, StaticPolicy
 from .controller import LiveController
 from .prefetcher import LivePrefetcher
 
@@ -49,7 +49,7 @@ class LivePrisma:
         if policy is not None or autotune:
             self.controller = LiveController(
                 self.prefetcher,
-                policy=policy or PrismaAutotunePolicy(),
+                policy=policy,
                 period=control_period,
                 telemetry=telemetry,
             )

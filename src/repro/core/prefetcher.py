@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Set
 
-from ..simcore.errors import Interrupt, ProcessError
+from ..simcore.errors import Interrupt
 from ..simcore.event import Event
 from ..telemetry import TimeWeightedGauge
 from ..storage.filesystem import TransientReadError
@@ -62,17 +62,6 @@ def _validate_lookahead(value: object) -> int:
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simcore.kernel import Process, Simulator
     from ..storage.backend import SampleSource
-
-
-def _storage_error(exc: BaseException) -> Exception:
-    """Unwrap the kernel's ProcessError shroud to the real storage error.
-
-    A backend read that fails inside its own process reaches the producer
-    as ``ProcessError(__cause__=<original>)``; classification (transient
-    vs fatal) and the staged-error payload must see the original.
-    """
-    cause = exc.__cause__ if isinstance(exc, ProcessError) else exc
-    return cause if isinstance(cause, Exception) else ProcessError(repr(exc))
 
 
 class ParallelPrefetcher(OptimizationObject):
@@ -330,7 +319,7 @@ class ParallelPrefetcher(OptimizationObject):
                     # path (or it would block forever); stage the exception —
                     # the buffer's documented staged-error contract.
                     self.read_errors += 1
-                    payload = _storage_error(exc)
+                    payload = exc
                     if fetch is not None:
                         tel.end(fetch, outcome="error", error=type(payload).__name__)
                         tel.registry.counter(
@@ -398,14 +387,9 @@ class ParallelPrefetcher(OptimizationObject):
                 else:
                     done.fail(nbytes)
                 return
-
-            def copy_out():
-                yield self.sim.timeout(HIT_OVERHEAD + nbytes / MEMORY_BANDWIDTH)
-                return nbytes
-
-            proc = self.sim.process(copy_out(), name=f"{self.name}.copy")
-            proc.add_callback(
-                lambda p: done.succeed(p.value) if p.ok else done.fail(p.exception)
+            # Copy-out: the consumer holds the sample once the memcpy lands.
+            self.sim.timeout(HIT_OVERHEAD + nbytes / MEMORY_BANDWIDTH).add_callback(
+                lambda _ev: done.succeed(nbytes)
             )
 
         fetched.add_callback(after_fetch)
@@ -432,7 +416,7 @@ class ParallelPrefetcher(OptimizationObject):
             try:
                 nbytes = yield self.backend.read_whole(path)
             except Exception as retry_exc:  # noqa: BLE001 - classified below
-                exc = _storage_error(retry_exc)
+                exc = retry_exc
                 if not isinstance(exc, TransientReadError):
                     break  # fatal: no point burning further attempts
                 continue

@@ -246,14 +246,9 @@ class SharedDatasetPrefetcher(OptimizationObject):
             if isinstance(payload, Exception):
                 done.fail(payload)
                 return
-
-            def copy_out():
-                yield self.sim.timeout(HIT_OVERHEAD + payload / MEMORY_BANDWIDTH)
-                return payload
-
-            proc = self.sim.process(copy_out(), name=f"{self.name}.copy")
-            proc.add_callback(
-                lambda p: done.succeed(p.value) if p.ok else done.fail(p.exception)
+            # Copy-out: the consumer holds the sample once the memcpy lands.
+            self.sim.timeout(HIT_OVERHEAD + payload / MEMORY_BANDWIDTH).add_callback(
+                lambda _ev: done.succeed(payload)
             )
 
         fetched.add_callback(after_fetch)

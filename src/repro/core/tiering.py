@@ -50,7 +50,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Set
 
-from ..simcore.event import Event, chain_result
+from ..simcore.event import Event
 from ..telemetry import CounterSet
 from ..storage.backend import validate_byte_count
 from ..storage.filesystem import Filesystem
@@ -210,24 +210,30 @@ class TieringObject(OptimizationObject):
             return self.fast_fs.read_whole(self._tier_path(path))
         inflight = self._fetching.get(path)
         if inflight is not None:
+            # Every coalesced requester waits on the one in-flight fetch.
             self.counters.add("coalesced_fetches")
-            done = Event(self.sim, name=f"{self.name}.coalesced:{path}")
-            return chain_result(inflight, done)
+            return inflight
         self.counters.add("slow_reads")
         if tel is not None:
             tel.registry.counter("prisma.tier_misses_total", object=self.name).inc()
-        proc = self.sim.process(self._fetch(path, admit), name=f"{self.name}.fetch")
-        self._fetching[path] = proc
-        proc.add_callback(lambda _ev: self._fetching.pop(path, None))
-        done = Event(self.sim, name=f"{self.name}.fetch:{path}")
-        return chain_result(proc, done)
+        done = Event(self.sim)
+        self._fetching[path] = done
 
-    def _fetch(self, path: str, admit: bool):
-        """One coalesced source read, optionally admitted to the fast tier."""
-        nbytes = yield self._source_read(path)
-        if admit:
-            yield from self._admit(path, nbytes)
-        return nbytes
+        def settle(exc: Optional[BaseException], nbytes: int = 0) -> None:
+            del self._fetching[path]
+            if exc is None:
+                done.succeed(nbytes)
+            else:
+                done.fail(exc)
+
+        def fetched(nbytes: int) -> None:
+            if admit:
+                self._admit(path, nbytes, lambda exc: settle(exc, nbytes))
+            else:
+                settle(None, nbytes)
+
+        self._source_read(path).then(fetched, settle)
+        return done
 
     def _source_read(self, path: str) -> Event:
         """Read the bytes a tier fill needs (promotion source or backend)."""
@@ -262,43 +268,56 @@ class TieringObject(OptimizationObject):
             except Exception:  # noqa: BLE001 - promotion is best-effort
                 self.counters.add("promotion_failures")
                 return
-            yield from self._admit(path, nbytes)
+            admitted = Event(self.sim)
+            self._admit(
+                path, nbytes,
+                lambda exc: admitted.succeed() if exc is None else admitted.fail(exc),
+            )
+            yield admitted
         finally:
             # Unconditional: a crash (Interrupt) or injected fault mid-copy
             # must not leave the path stuck in "promotion in flight" forever.
             self._promoting.discard(path)
 
-    def _admit(self, path: str, nbytes: int):
+    def _admit(
+        self, path: str, nbytes: int, then: Callable[[Optional[BaseException]], None]
+    ) -> None:
         """Make room, copy onto the fast tier, and mark ``path`` resident.
 
         Shared tail of background promotion and read-through fetches;
-        returns False when the bytes were declined (too large, or eviction
-        could not free enough room under the policy).
+        ``then(error)`` runs once the copy settles — at once when the bytes
+        are declined (too large, or eviction could not free enough room
+        under the policy).
         """
         if nbytes > self.fast_capacity_bytes:
             self.counters.add("too_large")
-            return False
+            then(None)
+            return
         if not self._make_room(path, nbytes):
             self.counters.add("promotions_declined")
-            return False
+            then(None)
+            return
         tier_path = self._tier_path(path)
         if not self.fast_fs.exists(tier_path):
             self.fast_fs.create(tier_path, 0)
-        yield self.fast_fs.write(tier_path, nbytes)
-        # A racing promotion/demotion interleaving may have made the
-        # path resident meanwhile; replace, never double-count.
-        old = self._resident.pop(path, None)
-        if old is not None:
-            self._resident_bytes -= old
-        self._resident[path] = int(nbytes)
-        self._resident_bytes += int(nbytes)
-        self.counters.add("promotions")
-        tel = self.sim.telemetry
-        if tel is not None:
-            tel.registry.counter(
-                "prisma.tier_promotions_total", object=self.name
-            ).inc()
-        return True
+
+        def written(_nbytes: int) -> None:
+            # A racing promotion/demotion interleaving may have made the
+            # path resident meanwhile; replace, never double-count.
+            old = self._resident.pop(path, None)
+            if old is not None:
+                self._resident_bytes -= old
+            self._resident[path] = int(nbytes)
+            self._resident_bytes += int(nbytes)
+            self.counters.add("promotions")
+            tel = self.sim.telemetry
+            if tel is not None:
+                tel.registry.counter(
+                    "prisma.tier_promotions_total", object=self.name
+                ).inc()
+            then(None)
+
+        self.fast_fs.write(tier_path, nbytes).then(written, then)
 
     def _demote(self, victim: str) -> None:
         """Drop one resident file (the slow tier remains authoritative)."""

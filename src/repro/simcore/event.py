@@ -108,6 +108,24 @@ class Event:
         else:
             self.callbacks.append(fn)
 
+    def then(
+        self, proceed: Callable[[Any], None], fail: Callable[[BaseException], None]
+    ) -> None:
+        """Continue a completion-callback chain once this event is processed.
+
+        Calls ``proceed(value)`` on success or ``fail(exception)`` on
+        failure — the callback form of ``value = yield event`` for request
+        paths that run without a process.
+        """
+
+        def settle(ev: "Event") -> None:
+            if ev._exception is None:
+                proceed(ev._value)
+            else:
+                fail(ev._exception)
+
+        self.add_callback(settle)
+
     def _process(self) -> None:
         """Run callbacks (kernel-internal)."""
         callbacks, self.callbacks = self.callbacks, None

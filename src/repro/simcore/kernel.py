@@ -207,24 +207,6 @@ class Simulator:
         #: via ``Telemetry.attach(sim)``, never assigned directly.
         self.telemetry: Optional[Any] = None
 
-    # -- telemetry hooks -------------------------------------------------------
-    def span_begin(self, name: str, track: str, cat: str = "misc", **args: Any) -> Optional[Any]:
-        """Open a telemetry span at the current sim time (None when untraced).
-
-        Convenience for call sites that don't want to touch the hub API;
-        hot paths should load ``sim.telemetry`` once and call it directly.
-        """
-        tel = self.telemetry
-        if tel is None:
-            return None
-        return tel.begin(name, track, cat, **args)
-
-    def span_end(self, span: Optional[Any], **args: Any) -> None:
-        """Close a span from :meth:`span_begin` (no-op on None)."""
-        tel = self.telemetry
-        if tel is not None and span is not None:
-            tel.end(span, **args)
-
     # -- scheduling primitives (kernel-internal) ------------------------------
     def _enqueue_at(self, time: float, event: Event) -> None:
         if event._scheduled:
@@ -326,9 +308,14 @@ class Simulator:
         * a float — run until simulated time reaches it (clock is advanced to
           exactly ``until`` even if no event lands there).
         * an :class:`Event` — run until it triggers; returns its value.
+
+        Every form drives the same loop: it drains the active slot FIFO,
+        then advances the clock to the next slot, with everything the
+        per-event path needs held in locals.  A stop time is checked once
+        per slot; a stop event once per processed event.
         """
         stop_event: Optional[Event] = None
-        stop_time: Optional[float] = None
+        stop_time = float("inf")
         if isinstance(until, Event):
             stop_event = until
         elif until is not None:
@@ -337,36 +324,6 @@ class Simulator:
                 raise SchedulingError(f"run(until={stop_time}) is in the past")
 
         self._stopping = False
-        if stop_event is None and stop_time is None:
-            return self._run_to_exhaustion()
-        try:
-            while self._now_queue or self._times:
-                if stop_event is not None and stop_event.triggered:
-                    return stop_event.value
-                if stop_time is not None and self.peek() > stop_time:
-                    self.now = stop_time
-                    return None
-                if self._stopping:
-                    return None
-                self.step()
-        except StopSimulation:
-            return None
-        if stop_event is not None:
-            if stop_event.triggered:
-                return stop_event.value
-            raise SchedulingError(
-                "run(until=event) exhausted the queue before the event fired"
-            )
-        if stop_time is not None:
-            self.now = stop_time
-        return None
-
-    def _run_to_exhaustion(self) -> None:
-        """The hot loop for ``run()`` with no stop condition.
-
-        Drains the active slot FIFO, then advances the clock to the next
-        slot, with everything the per-event path needs held in locals.
-        """
         times = self._times
         slots = self._slots
         defunct = self._defunct
@@ -374,9 +331,14 @@ class Simulator:
         processed = 0
         try:
             while True:
+                if stop_event is not None and stop_event.triggered:
+                    return stop_event.value
                 q = self._now_queue
                 if not q:
                     if not times:
+                        break
+                    if times[0] > stop_time:
+                        self.now = stop_time
                         return None
                     t = pop_time(times)
                     self._now_queue = q = slots.pop(t)
@@ -388,7 +350,16 @@ class Simulator:
                         raise defunct.pop(0)
                     if self._stopping:
                         return None
+                    if stop_event is not None and stop_event.triggered:
+                        return stop_event.value
         except StopSimulation:
             return None
         finally:
             self.events_processed += processed
+        if stop_event is not None:
+            raise SchedulingError(
+                "run(until=event) exhausted the queue before the event fired"
+            )
+        if until is not None:
+            self.now = stop_time
+        return None

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..simcore.event import Event, chain_result
+from ..simcore.event import Event
 from ..simcore.resources import Resource
 from ..telemetry import CounterSet
 from .fluid import FairShareChannel, saturating_capacity
@@ -283,44 +283,58 @@ class BlockDevice:
         weight: float,
         op: str = "read",
     ) -> Event:
-        done = Event(self.sim, name=f"io:{self.name}")
+        """Latency phase (behind a seek slot if the profile has them), then
+        the transfer; each phase's completion callback starts the next."""
+        sim = self.sim
+        done = Event(sim)
+        tel = sim.telemetry
+        span = service = None
+        if tel is not None:
+            span = tel.begin(
+                f"dev.{op}", f"storage.{self.name}", "storage", lane=True, bytes=float(nbytes)
+            )
+        lat = self._latency(latency)
 
-        def io_process():
-            tel = self.sim.telemetry
-            span = None
+        def transfer(_ev: Optional[Event] = None) -> None:
+            nonlocal service
             if tel is not None:
-                span = tel.begin(
-                    f"dev.{op}", f"storage.{self.name}", "storage", lane=True, bytes=float(nbytes)
-                )
-            try:
-                lat = self._latency(latency)
-                if lat > 0:
-                    if self._seek_slots is not None:
-                        # Queue-wait for the (possibly single) seek slot —
-                        # nested on the request's own lane, which it owns
-                        # exclusively until the outer span ends.
-                        wait = tel.begin("dev.seek_wait", span.track, "storage") if tel else None
-                        slot = yield self._seek_slots.request()
-                        if wait is not None:
-                            tel.end(wait)
-                        yield self.sim.timeout(lat)
-                        self._seek_slots.release(slot)
-                    else:
-                        yield self.sim.timeout(lat)
-                service = tel.begin("dev.transfer", span.track, "storage") if tel else None
-                duration = yield channel.transfer(nbytes, weight=weight)
-                if service is not None:
-                    tel.end(service)
-            except BaseException:
-                if span is not None:
-                    tel.end(span, ok=False)
-                raise
-            if span is not None:
-                tel.end(span, ok=True)
-            return lat + duration
+                service = tel.begin("dev.transfer", span.track, "storage")
+            channel.transfer(nbytes, weight=weight).then(transferred, failed)
 
-        proc = self.sim.process(io_process(), name=f"io:{self.name}")
-        return chain_result(proc, done)
+        def transferred(duration: float) -> None:
+            if tel is not None:
+                tel.end(service)
+                tel.end(span, ok=True)
+            done.succeed(lat + duration)
+
+        def failed(exc: BaseException) -> None:
+            if tel is not None:
+                tel.end(span, ok=False)
+            done.fail(exc)
+
+        if lat <= 0:
+            transfer()
+        elif self._seek_slots is None:
+            sim.timeout(lat).add_callback(transfer)
+        else:
+            # Queue-wait for the (possibly single) seek slot — nested on
+            # the request's own lane, which it owns exclusively until the
+            # outer span ends.
+            slots = self._seek_slots
+            slot = slots.request()
+            wait = tel.begin("dev.seek_wait", span.track, "storage") if tel else None
+
+            def seeked(_ev: Event) -> None:
+                slots.release(slot)
+                transfer()
+
+            def granted(_ev: Event) -> None:
+                if wait is not None:
+                    tel.end(wait)
+                sim.timeout(lat).add_callback(seeked)
+
+            slot.add_callback(granted)
+        return done
 
     # -- public API -------------------------------------------------------------
     def read(self, nbytes: float, weight: float = 1.0) -> Event:

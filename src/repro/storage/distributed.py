@@ -24,11 +24,18 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..simcore.event import Event, chain_result
+from ..simcore.event import Event
 from ..telemetry import CounterSet
 from .cache import PageCache
 from .device import BlockDevice, DeviceProfile, GiB, intel_p4600
-from .filesystem import FaultHook, FileExists, FileNotFound, InvalidRead, SimFile
+from .filesystem import (
+    BackendRequest,
+    FaultHook,
+    FileExists,
+    FileNotFound,
+    InvalidRead,
+    SimFile,
+)
 from .fluid import FairShareChannel, saturating_capacity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -149,43 +156,27 @@ class DistributedFilesystem:
         end = meta.size if length is None else min(offset + max(length, 0), meta.size)
         nbytes = max(end - offset, 0)
         target = self.targets[self._placement[path]]
-        done = Event(self.sim, name=f"pfsread:{path}")
+        req = BackendRequest(self.sim, "pfs.read", self.name, path, nbytes)
 
-        def read_process():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    "pfs.read", f"storage.{self.name}", "storage", lane=True,
-                    path=path, bytes=nbytes,
-                )
-            try:
-                yield self.sim.timeout(self.rpc_latency)
-                if nbytes == 0:
-                    if span is not None:
-                        tel.end(span, outcome="empty")
-                    return 0
-                fault = self.fault_hook(path, nbytes) if self.fault_hook is not None else None
-                if fault is not None:
-                    if fault.extra_latency > 0:
-                        yield self.sim.timeout(fault.extra_latency)
-                    if fault.error is not None:
-                        raise fault.error
-                yield target.device.read(nbytes)
-                yield self.network.transfer(nbytes)
-            except BaseException as exc:
-                if span is not None:
-                    tel.end(span, outcome="error", error=type(exc).__name__)
-                raise
+        def delivered(_duration: float) -> None:
             self.counters.add("reads")
             self.counters.add("read_bytes", nbytes)
             self._epoch_reads[path] = self._epoch_reads.get(path, 0) + 1
-            if span is not None:
-                tel.end(span, outcome="ost")
-            return nbytes
+            req.finish(nbytes, "ost")
 
-        proc = self.sim.process(read_process(), name=f"pfsread:{path}")
-        return chain_result(proc, done)
+        def read_ost() -> None:
+            target.device.read(nbytes).then(
+                lambda _: self.network.transfer(nbytes).then(delivered, req.fail), req.fail
+            )
+
+        def arrived(_ev: object) -> None:
+            if nbytes == 0:
+                req.finish(0, "empty")
+            else:
+                req.after_fault(self.fault_hook, path, nbytes, read_ost)
+
+        self.sim.timeout(self.rpc_latency).then(arrived, req.fail)
+        return req.done
 
     def read_whole(self, path: str) -> Event:
         """Whole-file read — the canonical spelling of the backend protocol.
@@ -207,38 +198,26 @@ class DistributedFilesystem:
         if offset < 0 or nbytes < 0:
             raise InvalidRead(f"invalid write range for {path!r}")
         target = self.targets[self._placement[path]]
-        done = Event(self.sim, name=f"pfswrite:{path}")
+        req = BackendRequest(self.sim, "pfs.write", self.name, path, nbytes)
 
-        def write_process():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    "pfs.write", f"storage.{self.name}", "storage", lane=True,
-                    path=path, bytes=nbytes,
-                )
-            try:
-                yield self.sim.timeout(self.rpc_latency)
-                if nbytes > 0:
-                    yield self.network.transfer(nbytes)
-                    yield target.device.write(nbytes)
-                    meta.size = max(meta.size, offset + nbytes)
-                    self.cache.invalidate(path)
-            except BaseException as exc:
-                if span is not None:
-                    tel.end(span, outcome="error", error=type(exc).__name__)
-                raise
+        def stored(_ev: object) -> None:
+            if nbytes > 0:
+                meta.size = max(meta.size, offset + nbytes)
+                self.cache.invalidate(path)
             self.counters.add("writes")
             self.counters.add("write_bytes", nbytes)
-            if tel is not None:
-                tel.registry.counter(
-                    "storage.write_bytes_total", object=self.name
-                ).inc(nbytes)
-                tel.end(span, outcome="ost")
-            return nbytes
+            req.wrote(nbytes, "ost")
 
-        proc = self.sim.process(write_process(), name=f"pfswrite:{path}")
-        return chain_result(proc, done)
+        def arrived(_ev: object) -> None:
+            if nbytes == 0:
+                stored(None)
+                return
+            self.network.transfer(nbytes).then(
+                lambda _: target.device.write(nbytes).then(stored, req.fail), req.fail
+            )
+
+        self.sim.timeout(self.rpc_latency).then(arrived, req.fail)
+        return req.done
 
     # -- aggregate cache accounting ----------------------------------------------
     def begin_epoch(self) -> None:

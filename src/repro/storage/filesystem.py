@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..simcore.errors import SimulationError
-from ..simcore.event import Event, chain_result
+from ..simcore.event import Event
 from .cache import PageCache
 from .device import BlockDevice
 
@@ -68,6 +68,71 @@ class ReadFault:
 #: Hook signature: ``(path, nbytes) -> Optional[ReadFault]``.  Installed by
 #: :class:`~repro.faults.FaultInjector`; ``None`` means "no fault".
 FaultHook = Callable[[str, int], Optional[ReadFault]]
+
+
+class BackendRequest:
+    """One read or write in flight on a storage backend.
+
+    Holds the caller-facing event and the request's telemetry span.  A
+    backend chains the request's phases as completion callbacks
+    (:meth:`~repro.simcore.event.Event.then`), and every way out —
+    :meth:`finish` or :meth:`fail` — closes the span with its outcome.
+    """
+
+    __slots__ = ("sim", "backend", "done", "tel", "span")
+
+    def __init__(self, sim: "Simulator", op: str, backend: str, path: str, nbytes: int) -> None:
+        self.sim = sim
+        self.backend = backend
+        self.done = Event(sim)
+        self.tel = tel = sim.telemetry
+        self.span = None
+        if tel is not None:
+            self.span = tel.begin(
+                op, f"storage.{backend}", "storage", lane=True, path=path, bytes=nbytes
+            )
+
+    def finish(self, value: int, outcome: str) -> None:
+        if self.span is not None:
+            self.tel.end(self.span, outcome=outcome)
+        self.done.succeed(value)
+
+    def fail(self, exc: BaseException) -> None:
+        if self.span is not None:
+            self.tel.end(self.span, outcome="error", error=type(exc).__name__)
+        self.done.fail(exc)
+
+    def wrote(self, nbytes: int, outcome: str) -> None:
+        """Finish a write, counting its bytes on the telemetry registry."""
+        if self.tel is not None:
+            self.tel.registry.counter(
+                "storage.write_bytes_total", object=self.backend
+            ).inc(nbytes)
+        self.finish(nbytes, outcome)
+
+    def after_fault(
+        self, hook: Optional[FaultHook], path: str, nbytes: int, proceed: Callable[[], None]
+    ) -> None:
+        """Consult the backend's fault hook, then ``proceed()`` unless it fails.
+
+        An injected fault's extra latency is served before the outcome is
+        decided; its error then fails the request.
+        """
+        fault = hook(path, nbytes) if hook is not None else None
+        if fault is None:
+            proceed()
+            return
+
+        def decide(_ev: Optional[Event] = None) -> None:
+            if fault.error is not None:
+                self.fail(fault.error)
+            else:
+                proceed()
+
+        if fault.extra_latency > 0:
+            self.sim.timeout(fault.extra_latency).add_callback(decide)
+        else:
+            decide()
 
 
 @dataclass
@@ -157,47 +222,28 @@ class Filesystem:
         end = meta.size if length is None else min(offset + max(length, 0), meta.size)
         nbytes = max(end - offset, 0)
 
-        done = Event(self.sim, name=f"fsread:{path}")
+        req = BackendRequest(self.sim, "fs.read", self.name, path, nbytes)
+        if nbytes == 0:
+            # Metadata-only: model a syscall round trip.
+            self.sim.timeout(1e-6).then(lambda _: req.finish(0, "empty"), req.fail)
+            return req.done
+        cache = self.cache
 
-        def read_process():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    "fs.read", f"storage.{self.name}", "storage", lane=True,
-                    path=path, bytes=nbytes,
+        def from_device(_service: float) -> None:
+            if cache.capacity_bytes > 0:
+                cache.insert(path, meta.size)
+            req.finish(nbytes, "device")
+
+        def lookup() -> None:
+            if cache.capacity_bytes > 0 and cache.lookup(path):
+                self.sim.timeout(cache.hit_service_time(nbytes)).then(
+                    lambda _: req.finish(nbytes, "cache-hit"), req.fail
                 )
-            try:
-                if nbytes == 0:
-                    # Metadata-only: model a syscall round trip.
-                    yield self.sim.timeout(1e-6)
-                    if span is not None:
-                        tel.end(span, outcome="empty")
-                    return 0
-                fault = self.fault_hook(path, nbytes) if self.fault_hook is not None else None
-                if fault is not None:
-                    if fault.extra_latency > 0:
-                        yield self.sim.timeout(fault.extra_latency)
-                    if fault.error is not None:
-                        raise fault.error
-                if self.cache.capacity_bytes > 0 and self.cache.lookup(path):
-                    yield self.sim.timeout(self.cache.hit_service_time(nbytes))
-                    if span is not None:
-                        tel.end(span, outcome="cache-hit")
-                    return nbytes
-                yield self.device.read(nbytes)
-                if self.cache.capacity_bytes > 0:
-                    self.cache.insert(path, meta.size)
-            except BaseException as exc:
-                if span is not None:
-                    tel.end(span, outcome="error", error=type(exc).__name__)
-                raise
-            if span is not None:
-                tel.end(span, outcome="device")
-            return nbytes
+            else:
+                self.device.read(nbytes).then(from_device, req.fail)
 
-        proc = self.sim.process(read_process(), name=f"fsread:{path}")
-        return chain_result(proc, done)
+        req.after_fault(self.fault_hook, path, nbytes, lookup)
+        return req.done
 
     def read_whole(self, path: str) -> Event:
         """Whole-file read (the DL sample-loading operation).
@@ -212,36 +258,17 @@ class Filesystem:
         meta = self.stat(path)
         if offset < 0 or nbytes < 0:
             raise InvalidRead(f"invalid write range for {path!r}")
-        done = Event(self.sim, name=f"fswrite:{path}")
+        req = BackendRequest(self.sim, "fs.write", self.name, path, nbytes)
 
-        def write_process():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    "fs.write", f"storage.{self.name}", "storage", lane=True,
-                    path=path, bytes=nbytes,
-                )
-            try:
-                if nbytes > 0:
-                    yield self.device.write(nbytes)
-                    meta.size = max(meta.size, offset + nbytes)
-                    self.cache.invalidate(path)
-                else:
-                    yield self.sim.timeout(1e-6)
-            except BaseException as exc:
-                if span is not None:
-                    tel.end(span, outcome="error", error=type(exc).__name__)
-                raise
-            if tel is not None:
-                tel.registry.counter(
-                    "storage.write_bytes_total", object=self.name
-                ).inc(nbytes)
-                tel.end(span, outcome="device")
-            return nbytes
+        def written(_ev: object) -> None:
+            if nbytes > 0:
+                meta.size = max(meta.size, offset + nbytes)
+                self.cache.invalidate(path)
+            req.wrote(nbytes, "device")
 
-        proc = self.sim.process(write_process(), name=f"fswrite:{path}")
-        return chain_result(proc, done)
+        io = self.device.write(nbytes) if nbytes > 0 else self.sim.timeout(1e-6)
+        io.then(written, req.fail)
+        return req.done
 
     # -- observability ------------------------------------------------------------
     def bytes_read(self) -> float:

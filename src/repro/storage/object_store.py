@@ -25,10 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..simcore.event import Event, chain_result
+from ..simcore.event import Event
 from ..telemetry import CounterSet
 from .device import GiB
-from .filesystem import FaultHook, FileExists, FileNotFound, InvalidRead, SimFile
+from .filesystem import (
+    BackendRequest,
+    FaultHook,
+    FileExists,
+    FileNotFound,
+    InvalidRead,
+    SimFile,
+)
 from .fluid import FairShareChannel, saturating_capacity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -182,41 +189,24 @@ class ObjectStore:
             raise InvalidRead(f"negative offset {offset} for {path!r}")
         end = meta.size if length is None else min(offset + max(length, 0), meta.size)
         nbytes = max(end - offset, 0)
-        done = Event(self.sim, name=f"get:{path}")
+        req = BackendRequest(self.sim, "objstore.get", self.name, path, nbytes)
 
-        def get_process():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    "objstore.get", f"storage.{self.name}", "storage", lane=True,
-                    path=path, bytes=nbytes,
-                )
-            try:
-                yield self.sim.timeout(self.profile.get_latency)
-                if nbytes == 0:
-                    if span is not None:
-                        tel.end(span, outcome="empty")
-                    return 0
-                fault = self.fault_hook(path, nbytes) if self.fault_hook is not None else None
-                if fault is not None:
-                    if fault.extra_latency > 0:
-                        yield self.sim.timeout(fault.extra_latency)
-                    if fault.error is not None:
-                        raise fault.error
-                yield self.link.transfer(nbytes)
-            except BaseException as exc:
-                if span is not None:
-                    tel.end(span, outcome="error", error=type(exc).__name__)
-                raise
+        def delivered(_duration: float) -> None:
             self.counters.add("gets")
             self.counters.add("read_bytes", nbytes)
-            if span is not None:
-                tel.end(span, outcome="service")
-            return nbytes
+            req.finish(nbytes, "service")
 
-        proc = self.sim.process(get_process(), name=f"get:{path}")
-        return chain_result(proc, done)
+        def stream() -> None:
+            self.link.transfer(nbytes).then(delivered, req.fail)
+
+        def first_byte(_ev: object) -> None:
+            if nbytes == 0:
+                req.finish(0, "empty")
+            else:
+                req.after_fault(self.fault_hook, path, nbytes, stream)
+
+        self.sim.timeout(self.profile.get_latency).then(first_byte, req.fail)
+        return req.done
 
     def read_whole(self, path: str) -> Event:
         """Whole-object GET (the canonical sample-loading operation)."""
@@ -235,36 +225,22 @@ class ObjectStore:
             )
         if nbytes < 0:
             raise InvalidRead(f"negative PUT size for {path!r}")
-        done = Event(self.sim, name=f"put:{path}")
+        req = BackendRequest(self.sim, "objstore.put", self.name, path, nbytes)
 
-        def put_process():
-            tel = self.sim.telemetry
-            span = None
-            if tel is not None:
-                span = tel.begin(
-                    "objstore.put", f"storage.{self.name}", "storage", lane=True,
-                    path=path, bytes=nbytes,
-                )
-            try:
-                yield self.sim.timeout(self.profile.put_latency)
-                if nbytes > 0:
-                    yield self.link.transfer(nbytes)
-            except BaseException as exc:
-                if span is not None:
-                    tel.end(span, outcome="error", error=type(exc).__name__)
-                raise
+        def uploaded(_ev: object) -> None:
             meta.size = int(nbytes)
             self.counters.add("puts")
             self.counters.add("write_bytes", nbytes)
-            if tel is not None:
-                tel.registry.counter(
-                    "storage.write_bytes_total", object=self.name
-                ).inc(nbytes)
-                tel.end(span, outcome="service")
-            return nbytes
+            req.wrote(nbytes, "service")
 
-        proc = self.sim.process(put_process(), name=f"put:{path}")
-        return chain_result(proc, done)
+        def accepted(_ev: object) -> None:
+            if nbytes > 0:
+                self.link.transfer(nbytes).then(uploaded, req.fail)
+            else:
+                uploaded(None)
+
+        self.sim.timeout(self.profile.put_latency).then(accepted, req.fail)
+        return req.done
 
     # -- observability ------------------------------------------------------------
     def bytes_read(self) -> float:

@@ -16,17 +16,18 @@ One subsystem owns every measurement the simulator produces:
 
 Typical use::
 
+    from repro.simcore import Simulator
     from repro.telemetry import Telemetry, write_chrome_trace
 
     tel = Telemetry()
-    sim = Simulator(seed=7)
+    sim = Simulator()
     tel.attach(sim, process="tf-prisma")
     ...  # build + run; every layer reports through sim.telemetry
     write_chrome_trace(tel, "trace.json")
 
-The legacy homes (``repro.simcore.tracing``, ``repro.metrics``'s recorder
-names, ``repro.core.control.MetricsSnapshot``) still import but emit
-:class:`DeprecationWarning`; new code imports from here.
+These names live only here: the old homes (``repro.simcore.tracing``,
+the recorder names in ``repro.metrics``) are gone, and
+``MetricsSnapshot`` is re-exported by :mod:`repro.core` without a shim.
 """
 
 from .export import (

@@ -224,7 +224,7 @@ def test_filesystem_fault_hook_injects_error_and_latency():
         ReadFault(error=TransientReadError(path)) if path == "/a" else None
     )
     out = _drive(sim, lambda: (yield fs.read_whole("/a")))
-    assert isinstance(out["exc"].__cause__, TransientReadError)
+    assert isinstance(out["exc"], TransientReadError)
 
     # Latency-only fault: read succeeds but pays the extra delay.
     healthy_sim = Simulator()

@@ -15,6 +15,7 @@ from repro.core.live import (
     static_live_prisma,
 )
 from repro.core import StaticPolicy
+from repro.telemetry import MetricsSnapshot
 
 
 @pytest.fixture()
@@ -244,6 +245,51 @@ def test_live_controller_lifecycle():
     pf.close()
     with pytest.raises(ValueError):
         LiveController(pf, period=0.0)
+
+
+def _starving(pf):
+    """Replace ``pf.snapshot`` with a deterministic, always-starving series
+    whose fetch rate scales with the producer count, so the auto-tuner keeps
+    asking for one more producer."""
+    state = {"t": 0.0, "requests": 0.0, "bytes": 0.0}
+
+    def snapshot():
+        t = pf.target_producers
+        state["t"] += 0.1
+        state["requests"] += 100.0
+        state["bytes"] += 1e6 * t
+        return MetricsSnapshot(
+            time=state["t"], requests=state["requests"], waits=state["requests"],
+            buffer_capacity=pf.buffer.capacity, producers_allocated=t,
+            producers_active=t, bytes_fetched=state["bytes"], queue_remaining=1000,
+        )
+
+    pf.snapshot = snapshot
+
+
+def test_live_controller_default_tuner_respects_the_prefetcher_cap():
+    pf = LivePrefetcher(producers=1, buffer_capacity=4, max_producers=2)
+    ctl = LiveController(pf, period=0.01)
+    try:
+        _starving(pf)
+        for _ in range(40):
+            ctl.run_cycle()  # used to raise "producers must be in [1, 2]"
+        assert ctl.enforcements >= 1
+        assert pf.target_producers == 2
+        assert ctl.rpc_failures == 0
+    finally:
+        pf.close()
+
+
+def test_live_prisma_default_tuner_respects_the_prefetcher_cap():
+    prisma = LivePrisma(producers=1, buffer_capacity=4, max_producers=2)
+    try:
+        _starving(prisma.prefetcher)
+        for _ in range(40):
+            prisma.controller.run_cycle()
+        assert prisma.prefetcher.target_producers == 2
+    finally:
+        prisma.close()
 
 
 # ---------------------------------------------------------------- LivePrisma session

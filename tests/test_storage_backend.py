@@ -145,7 +145,7 @@ def test_fault_hook_injects_errors(kind):
     backend.create("/a", 4 * KiB)
     backend.fault_hook = lambda path, nbytes: ReadFault(error=TransientReadError(path))
     out = _drive(sim, lambda: (yield backend.read_whole("/a")))
-    assert isinstance(out["exc"].__cause__, TransientReadError)
+    assert isinstance(out["exc"], TransientReadError)
 
 
 # ---------------------------------------------------------------- telemetry
