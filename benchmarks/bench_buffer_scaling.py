@@ -20,9 +20,9 @@ Or via pytest: pytest benchmarks/bench_buffer_scaling.py --benchmark-only
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
+
+from _gate import WALL, Gate
 
 from repro.core.buffer import PrefetchBuffer
 from repro.simcore import Event, FilterStore, Simulator
@@ -36,8 +36,6 @@ WAITERS = 64
 ROUNDS = {64: 6, 256: 4, 1024: 2}
 #: Acceptance target: KeyedStore vs FilterStore at the largest cell.
 TARGET_SPEEDUP = 10.0
-
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_buffer.json"
 
 
 class FilterStoreBuffer:
@@ -172,36 +170,19 @@ def run_scaling() -> dict:
     }
 
 
-def write_report(report: dict, path: Path = OUTPUT) -> None:
-    path.write_text(json.dumps(report, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------- pytest entry
-def test_keyed_buffer_speedup(once):
-    report = once(run_scaling)
-    write_report(report)
-    assert report["speedup_at_1024"] >= TARGET_SPEEDUP
-
-
-def main() -> int:
-    report = run_scaling()
-    write_report(report)
-    for cell in report["results"]:
-        print(
-            f"{cell['backend']:>12}  N={cell['n_items']:>5}  "
-            f"{cell['requests']} reqs in {cell['seconds']:.3f}s  "
-            f"-> {cell['throughput_req_per_s']:,.0f} req/s"
-        )
-    for n, s in report["speedup_by_size"].items():
-        print(f"speedup at N={n}: {s:.1f}x")
-    print(f"wrote {OUTPUT}")
-    ok = report["speedup_at_1024"] >= TARGET_SPEEDUP
-    print(
-        f"acceptance (>= {TARGET_SPEEDUP:.0f}x at N=1024): "
-        f"{'PASS' if ok else 'FAIL'} ({report['speedup_at_1024']:.1f}x)"
-    )
-    return 0 if ok else 1
-
+GATE = Gate(
+    "BENCH_buffer.json", WALL, run_scaling,
+    floors=[
+        (f"KeyedStore >= {TARGET_SPEEDUP:.0f}x FilterStore at N=1024",
+         lambda r: r["speedup_at_1024"] >= TARGET_SPEEDUP),
+    ],
+    summary=lambda r: [
+        f"{cell['backend']:>12}  N={cell['n_items']:>5}  {cell['requests']} reqs in "
+        f"{cell['seconds']:.3f}s  -> {cell['throughput_req_per_s']:,.0f} req/s"
+        for cell in r["results"]
+    ] + [f"speedup at N={n}: {s:.1f}x" for n, s in r["speedup_by_size"].items()],
+)
+test_keyed_buffer_speedup = GATE.pytest_test()
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

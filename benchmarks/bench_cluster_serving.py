@@ -20,8 +20,7 @@ Or via pytest: pytest benchmarks/bench_cluster_serving.py --benchmark-only
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from _gate import SIMULATED, Gate
 
 from repro.experiments.cluster import run_cluster_serving
 
@@ -38,8 +37,6 @@ MAX_READS_PER_UNIQUE_SAMPLE = 1.05
 #: The cluster's tiers must absorb nearly all of the N× request storm.
 MIN_CLUSTER_HIT_RATE = 0.95
 
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_cluster.json"
-
 
 def run_cluster() -> dict:
     kwargs = dict(
@@ -47,8 +44,6 @@ def run_cluster() -> dict:
         file_size=FILE_SIZE, epochs=EPOCHS,
     )
     report = run_cluster_serving(**kwargs)
-    repeat = run_cluster_serving(**kwargs)
-    deterministic = report.metrics_dict() == repeat.metrics_dict()
     return {
         "benchmark": "cluster_serving",
         "description": (
@@ -62,7 +57,6 @@ def run_cluster() -> dict:
             f"run_cluster_serving(seed={SEED}, n_nodes={N_NODES}, "
             f"n_files={N_FILES}, file_size={FILE_SIZE}, epochs={EPOCHS})"
         ),
-        "deterministic": deterministic,
         "completed": report.completed,
         "sim_seconds": report.sim_seconds,
         "requests": report.requests,
@@ -77,62 +71,23 @@ def run_cluster() -> dict:
     }
 
 
-def accept(report: dict) -> bool:
-    return (
-        report["deterministic"]
-        and report["completed"]
-        and report["reads_per_unique_sample"] <= report["max_reads_per_unique_sample"]
-        and report["cluster_hit_rate"] >= report["min_cluster_hit_rate"]
-    )
-
-
-def write_report(report: dict, path: Path = OUTPUT) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------- pytest entry
-def test_cluster_cooperative_invariant(once):
-    report = once(run_cluster)
-    write_report(report)
-    assert report["deterministic"], "same seed must give byte-identical reports"
-    assert report["completed"], "the epoch must finish (no hang)"
-    assert report["reads_per_unique_sample"] <= MAX_READS_PER_UNIQUE_SAMPLE, (
-        "backing-store reads exceeded 1.05x unique samples per epoch"
-    )
-    assert report["cluster_hit_rate"] >= MIN_CLUSTER_HIT_RATE
-
-
-def main() -> int:
-    report = run_cluster()
-    write_report(report)
-    print(
-        "n=%d nodes, %d requests -> %d backing reads "
-        "(%.3f per unique sample per epoch)"
-        % (
-            N_NODES,
-            report["requests"],
-            report["backing_reads"],
-            report["reads_per_unique_sample"],
-        )
-    )
-    print(
-        "cluster hit rate %.1f%%, peer hit rate %.1f%%, sim %.3fs, "
-        "deterministic=%s"
-        % (
-            report["cluster_hit_rate"] * 100,
-            report["peer_hit_rate"] * 100,
-            report["sim_seconds"],
-            report["deterministic"],
-        )
-    )
-    print(f"wrote {OUTPUT}")
-    ok = accept(report)
-    print(
-        "acceptance (deterministic AND reads/sample <= %.2f AND hit rate >= %.2f): %s"
-        % (MAX_READS_PER_UNIQUE_SAMPLE, MIN_CLUSTER_HIT_RATE, "PASS" if ok else "FAIL")
-    )
-    return 0 if ok else 1
-
+GATE = Gate(
+    "BENCH_cluster.json", SIMULATED, run_cluster,
+    floors=[
+        ("the epochs finish (no hang)", lambda r: r["completed"]),
+        (f"backing reads <= {MAX_READS_PER_UNIQUE_SAMPLE:.2f}x unique samples per epoch",
+         lambda r: r["reads_per_unique_sample"] <= MAX_READS_PER_UNIQUE_SAMPLE),
+        (f"cluster hit rate >= {MIN_CLUSTER_HIT_RATE:.2f}",
+         lambda r: r["cluster_hit_rate"] >= MIN_CLUSTER_HIT_RATE),
+    ],
+    summary=lambda r: [
+        f"n={N_NODES} nodes, {r['requests']} requests -> {r['backing_reads']} backing "
+        f"reads ({r['reads_per_unique_sample']:.3f} per unique sample per epoch)",
+        f"cluster hit rate {r['cluster_hit_rate']:.1%}, peer hit rate "
+        f"{r['peer_hit_rate']:.1%}, sim {r['sim_seconds']:.3f}s",
+    ],
+)
+test_cluster_cooperative_invariant = GATE.pytest_test()
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

@@ -24,8 +24,7 @@ Or via pytest: pytest benchmarks/bench_predictive_control.py --benchmark-only
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from _gate import SIMULATED, Gate
 
 from repro.experiments.predictive import run_predictive_comparison
 
@@ -37,13 +36,9 @@ MAX_CONVERGENCE_RATIO = 0.5
 MIN_STEADY_FRACTION = 0.95
 BACKEND_KINDS = ("posix", "object")
 
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_predict.json"
-
 
 def run_predictive() -> dict:
     report = run_predictive_comparison(seed=SEED, backend_kinds=BACKEND_KINDS)
-    repeat = run_predictive_comparison(seed=SEED, backend_kinds=BACKEND_KINDS)
-    deterministic = report.metrics_dict() == repeat.metrics_dict()
 
     ratios = {}
     steady_fractions = {}
@@ -75,7 +70,6 @@ def run_predictive() -> dict:
             f"run_predictive_comparison(seed={SEED}, "
             f"backend_kinds={list(BACKEND_KINDS)})"
         ),
-        "deterministic": deterministic,
         "convergence_ratios": ratios,
         "steady_fractions": steady_fractions,
         "live_parity": parity,
@@ -87,71 +81,26 @@ def run_predictive() -> dict:
     }
 
 
-def accept(report: dict) -> bool:
-    return (
-        report["deterministic"]
-        and len(report["convergence_ratios"]) == len(BACKEND_KINDS)
-        and all(
-            r <= report["max_convergence_ratio"]
-            for r in report["convergence_ratios"].values()
-        )
-        and all(
-            f >= report["min_steady_fraction"]
-            for f in report["steady_fractions"].values()
-        )
-        and all(report["live_parity"].values())
-        and not any(report["fell_back"].values())
-    )
-
-
-def write_report(report: dict, path: Path = OUTPUT) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------- pytest entry
-def test_predictive_control_gates(once):
-    report = once(run_predictive)
-    write_report(report)
-    assert report["deterministic"], "same seed must give byte-identical reports"
-    assert len(report["convergence_ratios"]) == len(BACKEND_KINDS)
-    for kind, ratio in report["convergence_ratios"].items():
-        assert ratio <= MAX_CONVERGENCE_RATIO, (
-            f"predictive took {ratio:.2f}x reactive's periods on {kind}"
-        )
-    for kind, fraction in report["steady_fractions"].items():
-        assert fraction >= MIN_STEADY_FRACTION, (
-            f"predictive steady rate only {fraction:.1%} of oracle on {kind}"
-        )
-    for kind, ok in report["live_parity"].items():
-        assert ok, f"sim/live decision parity broken on {kind}"
-    for kind, fell in report["fell_back"].items():
-        assert not fell, f"in-envelope workload fell back to reactive on {kind}"
-
-
-def main() -> int:
-    report = run_predictive()
-    write_report(report)
-    for kind in BACKEND_KINDS:
-        print(
-            "%s: %.2fx reactive's convergence periods, steady %.1f%% of "
-            "oracle, parity %s"
-            % (
-                kind,
-                report["convergence_ratios"][kind],
-                100 * report["steady_fractions"][kind],
-                "ok" if report["live_parity"][kind] else "BROKEN",
-            )
-        )
-    print(f"deterministic={report['deterministic']}")
-    print(f"wrote {OUTPUT}")
-    ok = accept(report)
-    print(
-        "acceptance (deterministic AND ratio <= %.2f AND steady >= %.0f%% "
-        "AND parity AND no fallback): %s"
-        % (MAX_CONVERGENCE_RATIO, 100 * MIN_STEADY_FRACTION, "PASS" if ok else "FAIL")
-    )
-    return 0 if ok else 1
-
+GATE = Gate(
+    "BENCH_predict.json", SIMULATED, run_predictive,
+    floors=[
+        ("one result per backend kind",
+         lambda r: len(r["convergence_ratios"]) == len(BACKEND_KINDS)),
+        (f"predictive converges in <= {MAX_CONVERGENCE_RATIO:.2f}x reactive's periods",
+         lambda r: all(x <= MAX_CONVERGENCE_RATIO for x in r["convergence_ratios"].values())),
+        (f"predictive steady rate >= {MIN_STEADY_FRACTION:.0%} of oracle",
+         lambda r: all(f >= MIN_STEADY_FRACTION for f in r["steady_fractions"].values())),
+        ("sim/live decision parity", lambda r: all(r["live_parity"].values())),
+        ("no fallback to reactive in-envelope", lambda r: not any(r["fell_back"].values())),
+    ],
+    summary=lambda r: [
+        f"{kind}: {r['convergence_ratios'][kind]:.2f}x reactive's convergence periods, "
+        f"steady {r['steady_fractions'][kind]:.1%} of oracle, "
+        f"parity {'ok' if r['live_parity'][kind] else 'BROKEN'}"
+        for kind in BACKEND_KINDS
+    ],
+)
+test_predictive_control_gates = GATE.pytest_test()
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

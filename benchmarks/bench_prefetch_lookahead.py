@@ -19,8 +19,7 @@ Or via pytest: pytest benchmarks/bench_prefetch_lookahead.py --benchmark-only
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from _gate import SIMULATED, Gate
 
 from repro.experiments import run_clairvoyant_comparison
 
@@ -35,8 +34,6 @@ LOOKAHEAD_EPOCHS = 2
 MIN_THROUGHPUT_RATIO = 1.0
 MIN_HIT_RATE_RATIO = 1.0
 
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_prefetch.json"
-
 
 def run_lookahead() -> dict:
     kwargs = dict(
@@ -44,8 +41,6 @@ def run_lookahead() -> dict:
         epochs=EPOCHS, lookahead_epochs=LOOKAHEAD_EPOCHS,
     )
     report = run_clairvoyant_comparison(**kwargs)
-    repeat = run_clairvoyant_comparison(**kwargs)
-    deterministic = report.metrics_dict() == repeat.metrics_dict()
     r, c = report.reactive, report.clairvoyant
     hit_ratio = (
         c.fast_tier_hit_rate / r.fast_tier_hit_rate
@@ -66,7 +61,6 @@ def run_lookahead() -> dict:
             f"file_size={FILE_SIZE}, epochs={EPOCHS}, "
             f"lookahead_epochs={LOOKAHEAD_EPOCHS})"
         ),
-        "deterministic": deterministic,
         "completed": r.completed and c.completed,
         "throughput_ratio": report.speedup,
         "hit_rate_ratio": hit_ratio,
@@ -76,59 +70,30 @@ def run_lookahead() -> dict:
     }
 
 
-def accept(report: dict) -> bool:
-    return (
-        report["deterministic"]
-        and report["completed"]
-        and report["throughput_ratio"] > report["min_throughput_ratio"]
-        and report["hit_rate_ratio"] > report["min_hit_rate_ratio"]
-    )
-
-
-def write_report(report: dict, path: Path = OUTPUT) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------- pytest entry
-def test_clairvoyant_beats_reactive(once):
-    report = once(run_lookahead)
-    write_report(report)
-    assert report["deterministic"], "same seed must give byte-identical reports"
-    assert report["completed"]
-    assert report["throughput_ratio"] > MIN_THROUGHPUT_RATIO
-    assert report["hit_rate_ratio"] > MIN_HIT_RATE_RATIO
-
-
-def main() -> int:
-    report = run_lookahead()
-    write_report(report)
+def _summary(report: dict) -> list:
     inner = report["report"]
-    print(
-        "reactive:     %7.0f files/s, fast-tier hit rate %5.1f%%"
-        % (
-            inner["reactive"]["throughput"],
-            inner["reactive"]["fast_tier_hit_rate"] * 100,
-        )
-    )
-    print(
-        "clairvoyant:  %7.0f files/s, fast-tier hit rate %5.1f%%"
-        % (
-            inner["clairvoyant"]["throughput"],
-            inner["clairvoyant"]["fast_tier_hit_rate"] * 100,
-        )
-    )
-    print(
-        "ratios: throughput %.3fx, hit rate %.3fx, deterministic=%s"
-        % (report["throughput_ratio"], report["hit_rate_ratio"], report["deterministic"])
-    )
-    print(f"wrote {OUTPUT}")
-    ok = accept(report)
-    print(
-        "acceptance (deterministic AND throughput > %.2fx AND hit rate > %.2fx): %s"
-        % (MIN_THROUGHPUT_RATIO, MIN_HIT_RATE_RATIO, "PASS" if ok else "FAIL")
-    )
-    return 0 if ok else 1
+    return [
+        f"{setup + ':':<13} {inner[setup]['throughput']:7.0f} files/s, "
+        f"fast-tier hit rate {inner[setup]['fast_tier_hit_rate']:6.1%}"
+        for setup in ("reactive", "clairvoyant")
+    ] + [
+        f"ratios: throughput {report['throughput_ratio']:.3f}x, "
+        f"hit rate {report['hit_rate_ratio']:.3f}x"
+    ]
 
+
+GATE = Gate(
+    "BENCH_prefetch.json", SIMULATED, run_lookahead,
+    floors=[
+        ("both runs complete", lambda r: r["completed"]),
+        (f"throughput ratio > {MIN_THROUGHPUT_RATIO:.2f}x",
+         lambda r: r["throughput_ratio"] > MIN_THROUGHPUT_RATIO),
+        (f"fast-tier hit-rate ratio > {MIN_HIT_RATE_RATIO:.2f}x",
+         lambda r: r["hit_rate_ratio"] > MIN_HIT_RATE_RATIO),
+    ],
+    summary=_summary,
+)
+test_clairvoyant_beats_reactive = GATE.pytest_test()
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

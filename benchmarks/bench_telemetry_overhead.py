@@ -7,7 +7,8 @@ instrumented operation and nothing else, so experiment wall time without
 ``--trace`` must stay within a few percent of the pre-instrumentation
 baseline (recorded below when this PR was cut).
 
-Measured workload: one quick-scale Figure-2 ``tf-prisma`` trial — the
+Measured workload: one quick-scale Figure-2 ``tf-prisma`` trial (the
+``figure2`` trial preset of :mod:`repro.experiments.registry`) — the
 heaviest span-emitting path (every file read crosses stage → prefetcher →
 buffer → storage, with the control loop running throughout).  Reported:
 
@@ -23,14 +24,12 @@ Or via pytest: pytest benchmarks/bench_telemetry_overhead.py --benchmark-only
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from pathlib import Path
 
-from repro.experiments import figure2_scale
-from repro.experiments.runner import run_tf_trial
-from repro.frameworks.models import LENET
+from _gate import WALL, Gate
+
+from repro.experiments.registry import WORKLOADS
 from repro.telemetry import Telemetry
 
 #: Wall-clock median of the same trial at the commit before the current
@@ -48,15 +47,11 @@ PRE_PR_BASELINE_S = 1.1463014100008877
 MAX_DISABLED_OVERHEAD = 1.05
 
 ROUNDS = 5
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_telemetry.json"
 
 
 def _trial(telemetry: Telemetry | None) -> float:
     start = time.perf_counter()
-    run_tf_trial(
-        "tf-prisma", LENET, 256, figure2_scale(quick=True),
-        seed=0, telemetry=telemetry,
-    )
+    WORKLOADS["figure2"].run_trial(telemetry=telemetry)
     return time.perf_counter() - start
 
 
@@ -79,7 +74,7 @@ def run_overhead(rounds: int = ROUNDS) -> dict:
             "a hub recording every span (enabled), against the wall time "
             "of the same trial at the pre-telemetry commit."
         ),
-        "workload": "run_tf_trial('tf-prisma', lenet, bs=256, figure2_scale(quick=True))",
+        "workload": "the figure2 trial of repro.experiments.registry",
         "rounds": rounds,
         "pre_pr_baseline_s": PRE_PR_BASELINE_S,
         "disabled_s": disabled,
@@ -93,34 +88,22 @@ def run_overhead(rounds: int = ROUNDS) -> dict:
     }
 
 
-def write_report(report: dict, path: Path = OUTPUT) -> None:
-    path.write_text(json.dumps(report, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------- pytest entry
-def test_disabled_telemetry_overhead(once):
-    report = once(run_overhead)
-    write_report(report)
-    assert report["disabled_vs_pre_pr"] <= MAX_DISABLED_OVERHEAD
-
-
-def main() -> int:
-    report = run_overhead()
-    write_report(report)
-    print(f"pre-PR baseline:   {report['pre_pr_baseline_s']:.3f}s")
-    print(f"disabled median:   {report['disabled_median_s']:.3f}s "
-          f"({report['disabled_vs_pre_pr']:.3f}x baseline)")
-    print(f"enabled median:    {report['enabled_median_s']:.3f}s "
-          f"({report['enabled_vs_disabled']:.3f}x disabled, "
-          f"{report['events_per_enabled_run']:,} events/run)")
-    print(f"wrote {OUTPUT}")
-    ok = report["disabled_vs_pre_pr"] <= MAX_DISABLED_OVERHEAD
-    print(
-        f"acceptance (disabled <= {MAX_DISABLED_OVERHEAD:.2f}x pre-PR): "
-        f"{'PASS' if ok else 'FAIL'} ({report['disabled_vs_pre_pr']:.3f}x)"
-    )
-    return 0 if ok else 1
-
+GATE = Gate(
+    "BENCH_telemetry.json", WALL, run_overhead,
+    floors=[
+        (f"disabled <= {MAX_DISABLED_OVERHEAD:.2f}x pre-PR baseline",
+         lambda r: r["disabled_vs_pre_pr"] <= MAX_DISABLED_OVERHEAD),
+    ],
+    summary=lambda r: [
+        f"pre-PR baseline:   {r['pre_pr_baseline_s']:.3f}s",
+        f"disabled median:   {r['disabled_median_s']:.3f}s "
+        f"({r['disabled_vs_pre_pr']:.3f}x baseline)",
+        f"enabled median:    {r['enabled_median_s']:.3f}s "
+        f"({r['enabled_vs_disabled']:.3f}x disabled, "
+        f"{r['events_per_enabled_run']:,} events/run)",
+    ],
+)
+test_disabled_telemetry_overhead = GATE.pytest_test()
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

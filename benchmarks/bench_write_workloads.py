@@ -22,8 +22,7 @@ Or via pytest: pytest benchmarks/bench_write_workloads.py --benchmark-only
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from _gate import SIMULATED, Gate
 
 from repro.experiments.writes import run_write_workloads
 
@@ -42,8 +41,6 @@ MIN_BURST_RATIO = 1.2
 #: configs where checkpoints actually fire (burst ratio is defined).
 MIXED_CONFIGS = ("posix-mixed", "object-mixed")
 
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_writes.json"
-
 
 def run_writes() -> dict:
     kwargs = dict(
@@ -51,8 +48,6 @@ def run_writes() -> dict:
         ckpt_every=CKPT_EVERY, ckpt_bytes=CKPT_BYTES,
     )
     report = run_write_workloads(**kwargs)
-    repeat = run_write_workloads(**kwargs)
-    deterministic = report.metrics_dict() == repeat.metrics_dict()
 
     speedups = {}
     burst_ratios = {}
@@ -83,7 +78,6 @@ def run_writes() -> dict:
             f"file_size={FILE_SIZE}, epochs={EPOCHS}, "
             f"ckpt_every={CKPT_EVERY}, ckpt_bytes={CKPT_BYTES})"
         ),
-        "deterministic": deterministic,
         "speedups": speedups,
         "burst_read_ratios": burst_ratios,
         "min_speedup": MIN_SPEEDUP,
@@ -92,56 +86,29 @@ def run_writes() -> dict:
     }
 
 
-def accept(report: dict) -> bool:
-    return (
-        report["deterministic"]
-        and len(report["speedups"]) == 3
-        and all(s >= report["min_speedup"] for s in report["speedups"].values())
-        and len(report["burst_read_ratios"]) == len(MIXED_CONFIGS)
-        and all(
-            r >= report["min_burst_ratio"]
-            for r in report["burst_read_ratios"].values()
-        )
-    )
-
-
-def write_report(report: dict, path: Path = OUTPUT) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-# ---------------------------------------------------------------- pytest entry
-def test_write_workload_gates(once):
-    report = once(run_writes)
-    write_report(report)
-    assert report["deterministic"], "same seed must give byte-identical reports"
-    assert len(report["speedups"]) == 3
-    for config, speedup in report["speedups"].items():
-        assert speedup >= MIN_SPEEDUP, (
-            f"prisma-async only {speedup:.2f}x baseline-sync in {config}"
-        )
-    assert len(report["burst_read_ratios"]) == len(MIXED_CONFIGS)
-    for config, ratio in report["burst_read_ratios"].items():
-        assert ratio >= MIN_BURST_RATIO, (
-            f"async burst-window reads only {ratio:.2f}x sync in {config}"
-        )
-
-
-def main() -> int:
-    report = run_writes()
-    write_report(report)
+def _summary(report: dict) -> list:
+    lines = []
     for config, speedup in report["speedups"].items():
         burst = report["burst_read_ratios"].get(config)
         extra = f", burst reads {burst:.2f}x sync" if burst is not None else ""
-        print(f"{config}: prisma-async {speedup:.2f}x baseline-sync{extra}")
-    print(f"deterministic={report['deterministic']}")
-    print(f"wrote {OUTPUT}")
-    ok = accept(report)
-    print(
-        "acceptance (deterministic AND speedup >= %.2f AND burst ratio >= %.2f): %s"
-        % (MIN_SPEEDUP, MIN_BURST_RATIO, "PASS" if ok else "FAIL")
-    )
-    return 0 if ok else 1
+        lines.append(f"{config}: prisma-async {speedup:.2f}x baseline-sync{extra}")
+    return lines
 
+
+GATE = Gate(
+    "BENCH_writes.json", SIMULATED, run_writes,
+    floors=[
+        (f"prisma-async >= {MIN_SPEEDUP:.2f}x baseline-sync in all three configs",
+         lambda r: len(r["speedups"]) == 3
+         and all(s >= MIN_SPEEDUP for s in r["speedups"].values())),
+        (f"async burst-window reads >= {MIN_BURST_RATIO:.2f}x sync in "
+         + " and ".join(MIXED_CONFIGS),
+         lambda r: len(r["burst_read_ratios"]) == len(MIXED_CONFIGS)
+         and all(b >= MIN_BURST_RATIO for b in r["burst_read_ratios"].values())),
+    ],
+    summary=_summary,
+)
+test_write_workload_gates = GATE.pytest_test()
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(GATE.main())

@@ -18,10 +18,12 @@ Usage::
 
 (or the installed ``prisma-repro`` script).
 
-Every experiment command accepts the shared flags ``--seed N``,
-``--out FILE`` (results as JSON; ``--json`` is a deprecated spelling),
+The experiment commands, ``trace`` and ``profile`` are generated from the
+workload registry (:mod:`repro.experiments.registry`).  Every command
+parses the shared flags ``--seed N``, ``--out FILE`` (results as JSON),
 ``--trace FILE`` (Chrome-trace of the run, load in ``chrome://tracing``
-or Perfetto), and ``--quiet`` (suppress charts and progress chatter).
+or Perfetto) and ``--quiet`` (suppress charts and progress chatter); a
+shared flag the command does not support exits with status 2.
 """
 
 from __future__ import annotations
@@ -31,15 +33,8 @@ import sys
 import time
 from typing import List, Optional
 
-
-def _progress(trial) -> None:
-    workers = f" w={trial.num_workers}" if trial.num_workers is not None else ""
-    print(
-        f"  ran {trial.model}/{trial.setup} bs={trial.batch_size}{workers}: "
-        f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)",
-        file=sys.stderr,
-        flush=True,
-    )
+#: Shared flags a command may decline, with their unset values.
+_SHARED_DEFAULTS = {"seed": 0, "out": None, "trace": None}
 
 
 def _note(args, message: str) -> None:
@@ -49,7 +44,7 @@ def _note(args, message: str) -> None:
 
 def _telemetry_for(args):
     """A Telemetry hub when ``--trace`` was given, else ``None``."""
-    if not getattr(args, "trace", None):
+    if not args.trace:
         return None
     from .telemetry import Telemetry
 
@@ -65,113 +60,75 @@ def _finish_trace(telemetry, args) -> None:
     _note(args, f"wrote {args.trace} ({stats['events']} trace events)")
 
 
-def _reject_unsupported(args, command: str) -> Optional[int]:
-    """Fail fast when a shared flag has no effect on this command."""
-    if getattr(args, "trace", None):
-        print(f"error: --trace is not supported for {command!r}", file=sys.stderr)
-        return 2
-    if getattr(args, "seed", 0):
-        print(f"error: --seed is not supported for {command!r}", file=sys.stderr)
-        return 2
-    if getattr(args, "out", None):
-        print(f"error: --out is not supported for {command!r}", file=sys.stderr)
-        return 2
-    return None
-
-
-def _cmd_figure2(args) -> int:
-    from .experiments import figure2_scale, run_figure2
-    from .experiments.figure2 import DEFAULT_MODELS
-    from .experiments.report import figure2_chart, format_figure2
-    from .frameworks.models import get_model
-
-    models = (
-        tuple(get_model(m) for m in args.models) if args.models else DEFAULT_MODELS
-    )
-    batches = tuple(args.batches) if args.batches else (64, 128, 256)
-    scale = figure2_scale(quick=args.quick)
+def _cmd_workload(args) -> int:
+    """Run one registry workload with its preset plus the command's flags."""
+    wl = args.workload
+    params = wl.preset("quick" if getattr(args, "quick", False) else "full")
+    for dest in args.params:
+        if getattr(args, dest) is not None:
+            params[dest] = getattr(args, dest)
+    if wl.progress is not None and args.verbose and not args.quiet:
+        params["progress"] = lambda item: print(
+            wl.progress(item), file=sys.stderr, flush=True
+        )
     telemetry = _telemetry_for(args)
-    result = run_figure2(
-        scale=scale,
-        models=models,
-        batch_sizes=batches,
-        progress=_progress if args.verbose and not args.quiet else None,
-        base_seed=args.seed,
-        telemetry=telemetry,
-    )
+    result = wl.run(seed=args.seed, telemetry=telemetry, **params)
     _finish_trace(telemetry, args)
+    for dest, write in args.outputs:
+        message = getattr(args, dest) and write(result, getattr(args, dest))
+        if message:
+            _note(args, message)
     if args.out:
-        from .experiments.export import dump_json, figure2_to_dict
+        from .experiments.export import dump_json
 
-        dump_json(figure2_to_dict(result, scale), args.out)
+        dump_json(wl.to_json(result, params), args.out)
         _note(args, f"wrote {args.out}")
-    print(format_figure2(result))
+    print(wl.format(result))
+    if wl.chart is not None and not args.quiet:
+        chart = wl.chart(result, params)
+        print("\n" + chart if chart else "")
+    return 0 if wl.ok(result) else 1
+
+
+def _cmd_trace(args) -> int:
+    """Run a workload's representative trial traced; write a Chrome-trace."""
+    from .experiments.registry import WORKLOADS
+    from .telemetry import Telemetry, write_chrome_trace
+
+    wl = WORKLOADS[args.experiment]
+    out = args.out or "trace.json"
+    telemetry = Telemetry()
+    result = wl.run_trial(seed=args.seed, telemetry=telemetry)
+    stats = write_chrome_trace(telemetry, out)
     if not args.quiet:
-        chart_batch = batches[-1]
-        try:
-            print()
-            print(figure2_chart(result, batch_size=chart_batch))
-        except KeyError:
-            pass  # partial grids may not contain the chart batch
+        print(wl.summary(result))
+        print(
+            f"wrote {out}: {stats['events']} trace events "
+            f"({stats['unfinished_spans']} unfinished, "
+            f"{stats['dropped_events']} dropped)"
+        )
     return 0
 
 
-def _cmd_figure3(args) -> int:
-    from .experiments import figure2_scale, run_figure3
-    from .experiments.report import figure3_chart, format_figure3
+def _cmd_profile(args) -> int:
+    """cProfile a workload's representative trial; print the hottest functions."""
+    import cProfile
+    import pstats
 
-    scale = figure2_scale(quick=args.quick)
-    telemetry = _telemetry_for(args)
-    result = run_figure3(
-        scale=scale,
-        progress=_progress if args.verbose and not args.quiet else None,
-        base_seed=args.seed,
-        telemetry=telemetry,
-    )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json, figure3_to_dict
+    from .experiments.registry import WORKLOADS
 
-        dump_json(figure3_to_dict(result, scale), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_figure3(result))
-    if not args.quiet:
-        print()
-        print(figure3_chart(result))
-    return 0
-
-
-def _cmd_figure4(args) -> int:
-    from .experiments import figure4_scale, run_figure4
-    from .experiments.report import figure4_chart, format_figure4
-
-    workers = tuple(args.workers) if args.workers else (0, 2, 4, 8, 16)
-    scale = figure4_scale(quick=args.quick)
-    telemetry = _telemetry_for(args)
-    result = run_figure4(
-        scale=scale,
-        worker_counts=workers,
-        progress=_progress if args.verbose and not args.quiet else None,
-        base_seed=args.seed,
-        telemetry=telemetry,
-    )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json, figure4_to_dict
-
-        dump_json(figure4_to_dict(result, scale), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_figure4(result))
-    if not args.quiet:
-        print()
-        print(figure4_chart(result))
+    wl = WORKLOADS[args.workload]
+    _note(args, f"profiling {wl.name!r}: {wl.help}")
+    profiler = cProfile.Profile()
+    profiler.enable()
+    wl.run_trial()
+    profiler.disable()
+    stats = pstats.Stats(profiler, stream=sys.stdout)
+    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
     return 0
 
 
 def _cmd_ablation(args) -> int:
-    code = _reject_unsupported(args, "ablation")
-    if code is not None:
-        return code
     from .experiments.ablation import (
         autotune_point,
         best_static,
@@ -193,9 +150,6 @@ def _cmd_ablation(args) -> int:
 
 
 def _cmd_distributed(args) -> int:
-    code = _reject_unsupported(args, "distributed")
-    if code is not None:
-        return code
     from .experiments.extensions import format_distributed_sweep, run_distributed_sweep
 
     nodes = tuple(args.nodes) if args.nodes else (1, 2, 4)
@@ -205,9 +159,6 @@ def _cmd_distributed(args) -> int:
 
 
 def _cmd_multitenant(args) -> int:
-    code = _reject_unsupported(args, "multitenant")
-    if code is not None:
-        return code
     from .experiments.extensions import format_multitenant, run_multitenant_comparison
 
     rows = run_multitenant_comparison(n_jobs=args.jobs)
@@ -216,106 +167,10 @@ def _cmd_multitenant(args) -> int:
 
 
 def _cmd_latency(args) -> int:
-    code = _reject_unsupported(args, "latency")
-    if code is not None:
-        return code
     from .experiments.extensions import format_latency, run_latency_comparison
 
     print(format_latency(run_latency_comparison()))
     return 0
-
-
-def _cmd_faults_demo(args) -> int:
-    from .experiments.faults import format_fault_sweep, run_fault_sweep
-
-    telemetry = _telemetry_for(args)
-    report = run_fault_sweep(seed=args.seed, n_files=args.files, telemetry=telemetry)
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(report.metrics_dict(), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_fault_sweep(report))
-    return 0 if report.completed else 1
-
-
-def _cmd_writes(args) -> int:
-    from .experiments.writes import run_write_workloads, format_writes
-
-    telemetry = _telemetry_for(args)
-    kwargs = dict(seed=args.seed, telemetry=telemetry)
-    if args.quick:
-        kwargs.update(n_files=320, epochs=1, ckpt_every=4, ckpt_bytes=48_000_000)
-    if args.files is not None:
-        kwargs["n_files"] = args.files
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    report = run_write_workloads(**kwargs)
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(report.metrics_dict(), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_writes(report))
-    return 0
-
-
-def _cmd_cluster(args) -> int:
-    from .experiments.cluster import format_cluster_sweep, run_cluster_sweep
-
-    nodes = tuple(args.nodes) if args.nodes else (128, 256, 512, 1024)
-    if args.quick:
-        nodes = tuple(args.nodes) if args.nodes else (16, 32, 64)
-    files = args.files if args.files is not None else (256 if args.quick else 1024)
-
-    def progress(report) -> None:
-        _note(
-            args,
-            f"  ran n={report.n_nodes}: {report.requests} requests, "
-            f"{report.backing_reads} backing reads, "
-            f"hit rate {report.cluster_hit_rate:.1%}",
-        )
-
-    telemetry = _telemetry_for(args)
-    reports = run_cluster_sweep(
-        node_counts=nodes,
-        seed=args.seed,
-        n_files=files,
-        epochs=args.epochs,
-        telemetry=telemetry,
-        progress=progress if not args.quiet else None,
-    )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json([r.metrics_dict() for r in reports], args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_cluster_sweep(reports))
-    return 0 if all(r.completed for r in reports) else 1
-
-
-def _cmd_clairvoyant(args) -> int:
-    from .experiments.clairvoyant import format_clairvoyant, run_clairvoyant_comparison
-
-    telemetry = _telemetry_for(args)
-    report = run_clairvoyant_comparison(
-        seed=args.seed,
-        n_files=args.files,
-        epochs=args.epochs,
-        lookahead_epochs=args.lookahead,
-        telemetry=telemetry,
-    )
-    _finish_trace(telemetry, args)
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(report.metrics_dict(), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_clairvoyant(report))
-    return 0 if report.reactive.completed and report.clairvoyant.completed else 1
 
 
 def _cmd_live_demo(args) -> int:
@@ -328,9 +183,6 @@ def _cmd_live_demo(args) -> int:
     cycles are stepped deterministically between reads so the printed
     allocation is reproducible.
     """
-    if getattr(args, "seed", 0):
-        print("error: --seed is not supported for 'live-demo'", file=sys.stderr)
-        return 2
     import os
     import tempfile
 
@@ -412,90 +264,6 @@ def _cmd_live_demo(args) -> int:
     return 0
 
 
-def _cmd_predict(args) -> int:
-    """Predictive vs reactive control head-to-head (sweep → fit → jump)."""
-    if getattr(args, "trace", None):
-        print("error: --trace is not supported for 'predict'", file=sys.stderr)
-        return 2
-    from .experiments.predictive import format_predictive, run_predictive_comparison
-
-    kwargs = dict(seed=args.seed)
-    if args.quick:
-        kwargs.update(n_files=64, epochs=2, sweep_n_files=32)
-    if args.files is not None:
-        kwargs["n_files"] = args.files
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    report = run_predictive_comparison(**kwargs)
-    if args.samples:
-        from .perfmodel import write_samples_jsonl
-
-        write_samples_jsonl(report.samples, args.samples)
-        _note(args, f"wrote {args.samples} ({len(report.samples)} sweep samples)")
-    if args.model_out and report.model is not None:
-        report.model.save(args.model_out)
-        _note(args, f"wrote {args.model_out}")
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(report.metrics_dict(), args.out)
-        _note(args, f"wrote {args.out}")
-    print(format_predictive(report))
-    ok = all(r.live_parity and not r.fell_back for r in report.results)
-    return 0 if ok else 1
-
-
-def _cmd_trace(args) -> int:
-    """One representative traced trial per experiment family."""
-    from .telemetry import Telemetry, write_chrome_trace
-
-    out = args.out or "trace.json"
-    telemetry = Telemetry()
-    if args.experiment in ("figure2", "figure3"):
-        from .experiments import figure2_scale
-        from .experiments.runner import run_tf_trial
-        from .frameworks.models import LENET
-
-        trial = run_tf_trial(
-            "tf-prisma", LENET, 256, figure2_scale(quick=True),
-            seed=args.seed, telemetry=telemetry,
-        )
-        headline = (
-            f"traced tf-prisma/lenet bs=256: "
-            f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)"
-        )
-    elif args.experiment == "figure4":
-        from .experiments import figure4_scale
-        from .experiments.runner import run_torch_trial
-        from .frameworks.models import LENET
-
-        trial = run_torch_trial(
-            "torch-prisma", LENET, 256, 2, figure4_scale(quick=True),
-            seed=args.seed, telemetry=telemetry,
-        )
-        headline = (
-            f"traced torch-prisma/lenet bs=256 w=2: "
-            f"{trial.paper_equivalent_seconds:.0f}s (paper-equivalent)"
-        )
-    else:  # faults-demo
-        from .experiments.faults import run_fault_sweep
-
-        report = run_fault_sweep(seed=args.seed, telemetry=telemetry)
-        headline = (
-            f"traced fault sweep: served {report.files_served} files, "
-            f"{report.serve_failures} failures"
-        )
-    stats = write_chrome_trace(telemetry, out)
-    if not args.quiet:
-        print(headline)
-        print(
-            f"wrote {out}: {stats['events']} trace events "
-            f"({stats['unfinished_spans']} unfinished, "
-            f"{stats['dropped_events']} dropped)"
-        )
-    return 0
-
-
 def _cmd_demo(_args) -> int:
     from . import quick_demo
 
@@ -503,83 +271,11 @@ def _cmd_demo(_args) -> int:
     return 0
 
 
-#: Named profiling workloads: name -> (description, zero-arg callable).
-#: Each runs a bounded, deterministic simulation heavy enough for a
-#: meaningful cProfile picture (a few hundred thousand kernel events).
-def _profile_workloads():
-    def simcore():
-        from .simcore import Simulator
-        from .simcore.workloads import canonical_mixed_workload
-
-        sim = Simulator()
-        canonical_mixed_workload(sim, scale=8)
-        sim.run()
-
-    def cluster():
-        from .experiments.cluster import run_cluster_serving
-
-        run_cluster_serving(n_nodes=64, n_files=512, epochs=2)
-
-    def writes():
-        from .experiments.writes import run_write_workloads
-
-        run_write_workloads(n_files=320, epochs=1, ckpt_every=4,
-                            ckpt_bytes=48_000_000)
-
-    def clairvoyant():
-        from .experiments.clairvoyant import run_clairvoyant_comparison
-
-        run_clairvoyant_comparison(n_files=200, epochs=3, lookahead_epochs=2)
-
-    def figure2():
-        from .experiments import figure2_scale
-        from .experiments.runner import run_tf_trial
-        from .frameworks.models import LENET
-
-        run_tf_trial("tf-prisma", LENET, 256, figure2_scale(quick=True), seed=0)
-
-    def predict():
-        from .experiments.predictive import run_predictive_comparison
-
-        run_predictive_comparison(n_files=64, epochs=2, sweep_n_files=32)
-
-    return {
-        "simcore": ("canonical mixed kernel workload (scale=8)", simcore),
-        "cluster": ("peer-to-peer serving, 64 nodes / 512 files", cluster),
-        "writes": ("checkpoint write workloads, 320 files", writes),
-        "clairvoyant": ("reactive vs clairvoyant tiering comparison", clairvoyant),
-        "figure2": ("one quick-scale tf-prisma trial", figure2),
-        "predict": ("predictive-control sweep + head-to-head comparison", predict),
-    }
-
-
-def _cmd_profile(args) -> int:
-    """cProfile a named benchmark workload; print the hottest functions."""
-    code = _reject_unsupported(args, "profile")
-    if code is not None:
-        return code
-    import cProfile
-    import pstats
-
-    description, fn = _profile_workloads()[args.workload]
-    _note(args, f"profiling {args.workload!r}: {description}")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    fn()
-    profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stdout)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    return 0
-
-
 def _shared_flags() -> argparse.ArgumentParser:
-    """Parent parser carried by every experiment subcommand."""
+    """Parent parser carried by every command but ``demo``."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument(
-        "--out", "--json", dest="out", metavar="FILE",
-        help="also write results as JSON (--json is the deprecated spelling)",
-    )
+    common.add_argument("--out", metavar="FILE", help="also write results as JSON")
     common.add_argument(
         "--trace", metavar="FILE",
         help="write a Chrome-trace (chrome://tracing / Perfetto) of the run",
@@ -591,6 +287,8 @@ def _shared_flags() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .experiments.registry import WORKLOADS
+
     parser = argparse.ArgumentParser(
         prog="prisma-repro",
         description="Reproduce the PRISMA (CLUSTER 2021) evaluation",
@@ -599,152 +297,65 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = _shared_flags()
 
-    p2 = sub.add_parser(
-        "figure2", parents=[common],
-        help="TF baseline/optimized/PRISMA training times",
-    )
-    p2.add_argument("--quick", action="store_true", help="coarser scale, 1 epoch")
-    p2.add_argument("--models", nargs="+", choices=["lenet", "alexnet", "resnet50"])
-    p2.add_argument("--batches", nargs="+", type=int)
-    p2.set_defaults(func=_cmd_figure2)
+    def command(name, func, help, shared=()):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(func=func, shared=frozenset(shared))
+        return p
 
-    p3 = sub.add_parser(
-        "figure3", parents=[common], help="concurrent-reader-thread CDFs"
-    )
-    p3.add_argument("--quick", action="store_true")
-    p3.set_defaults(func=_cmd_figure3)
+    for wl in WORKLOADS.values():
+        if not wl.command:
+            continue
+        p = command(wl.name, _cmd_workload, wl.help, wl.shared)
+        if wl.quick is not None:
+            p.add_argument("--quick", action="store_true", help="smaller preset for a fast look")
+        params = [p.add_argument(option, **kwargs).dest for option, kwargs in wl.flags]
+        outputs = [
+            (p.add_argument(option, metavar="FILE", help=help_).dest, write)
+            for option, help_, write in wl.outputs
+        ]
+        p.set_defaults(workload=wl, params=params, outputs=outputs)
 
-    p4 = sub.add_parser(
-        "figure4", parents=[common], help="PyTorch worker sweep vs PRISMA"
-    )
-    p4.add_argument("--quick", action="store_true")
-    p4.add_argument("--workers", nargs="+", type=int)
-    p4.set_defaults(func=_cmd_figure4)
-
-    pa = sub.add_parser("ablation", parents=[common], help="design-choice ablations")
+    pa = command("ablation", _cmd_ablation, "design-choice ablations")
     pa.add_argument("which", choices=["autotune", "device", "period"])
-    pa.set_defaults(func=_cmd_ablation)
 
-    pdist = sub.add_parser(
-        "distributed", parents=[common], help="multi-node training over a shared PFS"
-    )
+    pdist = command("distributed", _cmd_distributed, "multi-node training over a shared PFS")
     pdist.add_argument("--nodes", nargs="+", type=int)
-    pdist.set_defaults(func=_cmd_distributed)
 
-    pmt = sub.add_parser(
-        "multitenant", parents=[common],
-        help="N jobs on shared storage, 3 control modes",
-    )
+    pmt = command("multitenant", _cmd_multitenant, "N jobs on shared storage, 3 control modes")
     pmt.add_argument("--jobs", type=int, default=3)
-    pmt.set_defaults(func=_cmd_multitenant)
 
-    plat = sub.add_parser(
-        "latency", parents=[common],
-        help="per-read latency distribution, baseline vs PRISMA",
-    )
-    plat.set_defaults(func=_cmd_latency)
+    command("latency", _cmd_latency, "per-read latency distribution, baseline vs PRISMA")
 
-    pf = sub.add_parser(
-        "faults-demo", parents=[common], help="PRISMA under an injected fault storm"
-    )
-    pf.add_argument("--files", type=int, default=600)
-    pf.set_defaults(func=_cmd_faults_demo)
-
-    pw = sub.add_parser(
-        "writes", parents=[common],
-        help="checkpoint write traffic vs the read path, POSIX and object store",
-    )
-    pw.add_argument("--files", type=int, default=None, help="training files (default 640)")
-    pw.add_argument("--epochs", type=int, default=None, help="epochs (default 2)")
-    pw.add_argument(
-        "--quick", action="store_true", help="smaller matrix for a fast look"
-    )
-    pw.set_defaults(func=_cmd_writes)
-
-    pcl = sub.add_parser(
-        "cluster", parents=[common],
-        help="sharded peer-to-peer sample serving, cooperative-cache sweep",
-    )
-    pcl.add_argument(
-        "--nodes", nargs="+", type=int,
-        help="cluster sizes to sweep (default 128 256 512 1024)",
-    )
-    pcl.add_argument(
-        "--files", type=int, default=None,
-        help="catalog size (default 1024; 256 with --quick)",
-    )
-    pcl.add_argument("--epochs", type=int, default=2)
-    pcl.add_argument(
-        "--quick", action="store_true", help="small node counts for a fast look"
-    )
-    pcl.set_defaults(func=_cmd_cluster)
-
-    pcv = sub.add_parser(
-        "clairvoyant", parents=[common],
-        help="reactive vs clairvoyant prefetching over the tier hierarchy",
-    )
-    pcv.add_argument("--files", type=int, default=200)
-    pcv.add_argument("--epochs", type=int, default=3)
-    pcv.add_argument(
-        "--lookahead", type=int, default=2,
-        help="epochs of cross-epoch prefetch for the clairvoyant run",
-    )
-    pcv.set_defaults(func=_cmd_clairvoyant)
-
-    ppr = sub.add_parser(
-        "predict", parents=[common],
-        help="predictive vs reactive control: sweep, fit, jump to the optimum",
-    )
-    ppr.add_argument("--files", type=int, default=None, help="comparison files (default 128)")
-    ppr.add_argument("--epochs", type=int, default=None, help="comparison epochs (default 3)")
-    ppr.add_argument(
-        "--quick", action="store_true", help="smaller sweep and workload for a fast look"
-    )
-    ppr.add_argument(
-        "--samples", metavar="FILE",
-        help="also write the sweep's training samples as JSONL",
-    )
-    ppr.add_argument(
-        "--model-out", metavar="FILE",
-        help="also write the fitted throughput model as JSON",
-    )
-    ppr.set_defaults(func=_cmd_predict)
-
-    plive = sub.add_parser(
-        "live-demo", parents=[common],
-        help="live PRISMA: N real prefetcher pools under one global controller",
+    plive = command(
+        "live-demo", _cmd_live_demo,
+        "live PRISMA: N real prefetcher pools under one global controller",
+        shared=("out", "trace"),
     )
     plive.add_argument("--files", type=int, default=32, help="files per tenant")
     plive.add_argument("--jobs", type=int, default=2, help="tenant count")
     plive.add_argument(
         "--budget", type=int, default=6, help="cluster-wide producer-thread budget"
     )
-    plive.set_defaults(func=_cmd_live_demo)
 
-    pt = sub.add_parser(
-        "trace", parents=[common],
-        help="run one representative traced trial, write a Chrome-trace",
+    pt = command(
+        "trace", _cmd_trace,
+        "run one representative traced trial, write a Chrome-trace (--out)",
+        shared=("seed", "out"),
     )
     pt.add_argument(
-        "--experiment",
-        choices=["figure2", "figure3", "figure4", "faults-demo"],
-        default="figure2",
-        help="which experiment family to trace",
+        "--experiment", default="figure2",
+        choices=[w.name for w in WORKLOADS.values() if "trace" in w.shared],
+        help="which workload's trial to trace",
     )
-    pt.set_defaults(func=_cmd_trace)
 
     pd = sub.add_parser("demo", help="tiny PRISMA-vs-baseline smoke demo")
-    pd.set_defaults(func=_cmd_demo)
+    pd.set_defaults(func=_cmd_demo, shared=frozenset())
 
-    pp = sub.add_parser(
-        "profile", parents=[common],
-        help="cProfile a named benchmark workload, dump the hottest functions",
+    pp = command(
+        "profile", _cmd_profile,
+        "cProfile a workload's representative trial, dump the hottest functions",
     )
-    pp.add_argument(
-        "workload",
-        choices=["simcore", "cluster", "writes", "clairvoyant", "figure2", "predict"],
-        help="which canonical workload to profile",
-    )
+    pp.add_argument("workload", choices=list(WORKLOADS), help="which workload to profile")
     pp.add_argument(
         "--top", type=int, default=25, metavar="N",
         help="number of functions to print (default 25)",
@@ -753,12 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--sort", choices=["cumulative", "tottime", "ncalls"],
         default="cumulative", help="pstats sort key (default cumulative)",
     )
-    pp.set_defaults(func=_cmd_profile)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    for flag, unset in _SHARED_DEFAULTS.items():
+        if flag not in args.shared and getattr(args, flag, unset) != unset:
+            print(f"error: --{flag} is not supported for {args.command!r}", file=sys.stderr)
+            return 2
     start = time.time()
     code = args.func(args)
     if args.verbose and not getattr(args, "quiet", False):

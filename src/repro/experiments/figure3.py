@@ -64,6 +64,7 @@ def run_figure3(
     scale: Optional[ExperimentScale] = None,
     models: Sequence[ModelProfile] = DEFAULT_MODELS,
     batch_size: int = 256,
+    setups: Sequence[str] = ("tf-optimized", "tf-prisma"),
     hardware: Optional[HardwareProfile] = None,
     trials: Optional[Dict[Tuple[str, str], TrialResult]] = None,
     progress=None,
@@ -79,7 +80,7 @@ def run_figure3(
     trials = dict(trials or {})
     result = Figure3Result()
     for model in models:
-        for setup in ("tf-optimized", "tf-prisma"):
+        for setup in setups:
             trial = trials.get((model.name, setup))
             if trial is None:
                 trial = run_tf_trial(

@@ -68,6 +68,7 @@ def run_figure4(
     models: Sequence[ModelProfile] = DEFAULT_MODELS,
     worker_counts: Sequence[int] = DEFAULT_WORKER_COUNTS,
     batch_size: int = 256,
+    setups: Sequence[str] = ("torch-native", "torch-prisma"),
     hardware: Optional[HardwareProfile] = None,
     progress=None,
     base_seed: int = 0,
@@ -77,7 +78,7 @@ def run_figure4(
     result = Figure4Result()
     for model in models:
         for workers in worker_counts:
-            for setup in ("torch-native", "torch-prisma"):
+            for setup in setups:
                 trials: List[TrialResult] = []
                 for run in range(scale.runs):
                     trial = run_torch_trial(

@@ -123,3 +123,13 @@ def test_predict_quick_runs_and_exports(capsys, tmp_path):
 
 def test_predict_rejects_trace(capsys):
     assert main(["predict", "--trace", "/tmp/t.json"]) == 2
+
+
+def test_trace_rejects_trace_flag(tmp_path, monkeypatch):
+    # ``trace`` writes its Chrome-trace to --out; a --trace FILE used to be
+    # ignored silently while ./trace.json was written instead.
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "x.json"
+    assert main(["trace", "--experiment", "faults-demo", "--trace", str(target)]) == 2
+    assert not target.exists()
+    assert not (tmp_path / "trace.json").exists()

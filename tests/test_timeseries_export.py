@@ -129,7 +129,7 @@ def test_cli_json_flag(tmp_path, capsys):
     out = tmp_path / "f2.json"
     assert main([
         "figure2", "--quick", "--models", "lenet", "--batches", "256",
-        "--json", str(out),
+        "--out", str(out),
     ]) == 0
     doc = json.loads(out.read_text())
     assert doc["figure"] == "figure2"
