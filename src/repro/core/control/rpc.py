@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ...simcore.errors import SimulationError
-from ...simcore.event import Event
+from ...simcore.event import Event, Timeout
 from ...telemetry import CounterSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,24 +154,41 @@ class ControlChannel:
         err.__cause__ = exc
         return err
 
-    def _dispatch(self, fn, args, timeout: Optional[float], awaited: bool) -> Event:
+    def _dispatch(self, kind: str, fn, args, timeout: Optional[float], sink) -> None:
         """One request/reply exchange with timeout plumbing (shared by
-        call/request); returns the caller event.
+        call/request, counted under ``kind``); its outcome goes to ``sink``.
 
-        ``awaited`` selects data-plane semantics: a far-side return value
-        that is itself an :class:`Event` is waited on before the reply leg,
-        and its failure is a far-side (application) failure.  Whichever of
-        reply, failure or timeout settles the caller event first wins; the
-        exchange still runs to completion, so a late reply is discarded.
+        ``sink`` is anything with ``succeed(value)``/``fail(exc)``: the
+        caller event, or a :class:`_RetryLoop` deciding whether to try
+        again.  A ``"requests"`` exchange has data-plane semantics: a
+        far-side return value that is itself an :class:`Event` is waited
+        on before the reply leg, and its failure is a far-side
+        (application) failure.  Whichever of reply, failure or timeout
+        comes first settles ``sink``, exactly once, and cancels the
+        deadline timer; the exchange still runs to completion, so a late
+        reply is discarded.
         """
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
+        self.counters.add(kind)
         sim = self.sim
-        done = Event(sim)
+        awaited = kind == "requests"
+        deadline: Optional[Timeout] = None
+
+        def settle(value: Any, exc: Optional[BaseException]) -> None:
+            nonlocal sink
+            if sink is None:
+                return  # already settled: this outcome lost the race
+            target, sink = sink, None
+            if deadline is not None:
+                sim.cancel(deadline)
+            if exc is None:
+                target.succeed(value)
+            else:
+                target.fail(exc)
 
         def fail(exc: BaseException) -> None:
-            if not done.triggered:
-                done.fail(exc)
+            settle(None, exc)
 
         def leg(what: str, then: Callable[..., None], *payload: Any) -> None:
             """One one-way hop; a message landing while the channel drops is lost."""
@@ -189,10 +206,6 @@ class ControlChannel:
             else:
                 land()
 
-        def replied(result: Any) -> None:
-            if not done.triggered:
-                done.succeed(result)
-
         def arrived() -> None:
             try:
                 result = fn(*args)
@@ -201,22 +214,22 @@ class ControlChannel:
                 return
             if awaited and isinstance(result, Event):
                 result.then(
-                    lambda value: leg("reply", replied, value),
+                    lambda value: leg("reply", settle, value, None),
                     lambda exc: fail(self._far_side_failure(exc)),
                 )
             else:
-                leg("reply", replied, result)
+                leg("reply", settle, result, None)
 
         leg("request", arrived)
         if timeout is not None:
 
             def expire(_ev: Event) -> None:
-                if not done.triggered:
+                if sink is not None:
                     self.counters.add("timeouts")
-                    done.fail(RpcTimeout(f"{self.name}: no reply within {timeout:g}s"))
+                    fail(RpcTimeout(f"{self.name}: no reply within {timeout:g}s"))
 
-            sim.timeout(timeout).add_callback(expire)
-        return done
+            deadline = sim.timeout(timeout)
+            deadline.add_callback(expire)
 
     def call(self, fn: Callable[..., Any], *args: Any, timeout: Optional[float] = None) -> Event:
         """Invoke ``fn(*args)`` on the far side; event value = its result.
@@ -228,8 +241,9 @@ class ControlChannel:
         late, not the request lost — exactly the at-most-once ambiguity a
         real RPC layer has.
         """
-        self.counters.add("calls")
-        return self._dispatch(fn, args, timeout, awaited=False)
+        done = Event(self.sim)
+        self._dispatch("calls", fn, args, timeout, done)
+        return done
 
     def request(self, fn: Callable[..., Any], *args: Any, timeout: Optional[float] = None) -> Event:
         """Data-plane request: like :meth:`call`, but the far side may defer.
@@ -242,8 +256,9 @@ class ControlChannel:
         fall back, not replay.  ``timeout`` bounds the *whole* exchange,
         including the far-side service time.
         """
-        self.counters.add("requests")
-        return self._dispatch(fn, args, timeout, awaited=True)
+        done = Event(self.sim)
+        self._dispatch("requests", fn, args, timeout, done)
+        return done
 
     def call_with_retry(
         self,
@@ -261,7 +276,9 @@ class ControlChannel:
         :class:`RpcRetriesExhausted` chaining the last transport error.
         """
         return _RetryLoop(
-            self, lambda: self.call(fn, *args, timeout=timeout), policy or RetryPolicy()
+            self,
+            lambda sink: self._dispatch("calls", fn, args, timeout, sink),
+            policy or RetryPolicy(),
         ).done
 
     def request_with_retry(
@@ -280,23 +297,31 @@ class ControlChannel:
         caches must coalesce duplicate in-flight fetches.
         """
         return _RetryLoop(
-            self, lambda: self.request(fn, *args, timeout=timeout), policy or RetryPolicy()
+            self,
+            lambda sink: self._dispatch("requests", fn, args, timeout, sink),
+            policy or RetryPolicy(),
         ).done
 
 
 class _RetryLoop:
     """One logical call under a :class:`RetryPolicy`.
 
-    Each attempt's completion callback either settles :attr:`done` or
-    schedules the next attempt after its backoff.  A plain object rather
-    than a pair of mutually-referencing closures, so a finished loop is
-    freed by reference counting instead of waiting for the cycle collector.
+    The loop is each attempt's sink: an attempt's outcome either settles
+    :attr:`done` or schedules the next attempt after its backoff, with no
+    per-attempt event in between.  An attempt settles its sink once, so a
+    late reply to an earlier attempt never reaches the loop.  A plain
+    object rather than a pair of mutually-referencing closures, so a
+    finished loop is freed by reference counting instead of waiting for
+    the cycle collector.
     """
 
     __slots__ = ("channel", "send", "policy", "done", "start", "attempt")
 
     def __init__(
-        self, channel: ControlChannel, send: Callable[[], Event], policy: RetryPolicy
+        self,
+        channel: ControlChannel,
+        send: Callable[["_RetryLoop"], None],
+        policy: RetryPolicy,
     ) -> None:
         self.channel = channel
         self.send = send
@@ -307,13 +332,12 @@ class _RetryLoop:
         self.issue()
 
     def issue(self, _ev: Optional[Event] = None) -> None:
-        self.send().add_callback(self.answered)
+        self.send(self)
 
-    def answered(self, ev: Event) -> None:
-        exc = ev.exception
-        if exc is None:
-            self.done.succeed(ev.value)
-            return
+    def succeed(self, value: Any) -> None:
+        self.done.succeed(value)
+
+    def fail(self, exc: BaseException) -> None:
         if isinstance(exc, RpcApplicationError) or not isinstance(exc, RpcError):
             self.done.fail(exc)
             return

@@ -4,7 +4,9 @@ This module preserves the previous generation of the event loop — one
 global binary heap ordered by ``(time, sequence)``, a bootstrap
 :class:`~repro.simcore.event.Event` per process, per-timeout formatted
 names — exactly as it shipped before the slot scheduler landed in
-:mod:`repro.simcore.kernel`.  It exists for two consumers:
+:mod:`repro.simcore.kernel`, plus :meth:`HeapSimulator.cancel` (lazy
+deletion) so timer cancellation has a reference too.  It exists for two
+consumers:
 
 * ``tests/test_simcore_scheduler.py`` — the determinism property suite
   runs randomized scenarios against both kernels and asserts identical
@@ -170,14 +172,27 @@ class HeapSimulator:
     def stop(self) -> None:
         self._stopping = True
 
+    def cancel(self, timer: Timeout) -> None:
+        """Same contract as the slot kernel's, by lazy deletion: the heap
+        entry stays, and the ``step()`` that pops it fires nothing."""
+        if timer.callbacks is None or not timer._scheduled:
+            return
+        timer._scheduled = False
+        timer.callbacks = []
+
     # -- event loop -------------------------------------------------------------
     def peek(self) -> float:
+        heap = self._heap
+        while heap and not heap[0][2]._scheduled:
+            heapq.heappop(heap)  # a cancelled timer
         return self._heap[0][0] if self._heap else float("inf")
 
     def step(self) -> None:
         if not self._heap:
             raise SchedulingError("step() on an empty event queue")
         time, _, event = heapq.heappop(self._heap)
+        if not event._scheduled:
+            return  # a cancelled timer
         self.now = time
         event._process()
         self.events_processed += 1

@@ -167,9 +167,12 @@ class Timeout(Event):
     The timeout only *triggers* (becomes observable via :attr:`triggered`)
     when the clock reaches it — not at construction — so condition events
     like :class:`AnyOf` see an accurate picture of which waits completed.
+    Until then it can be withdrawn with :meth:`Simulator.cancel
+    <repro.simcore.kernel.Simulator.cancel>`; a cancelled timeout never
+    triggers.
     """
 
-    __slots__ = ("delay", "_pending_value")
+    __slots__ = ("delay", "_pending_value", "_at")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
         if delay < 0:
@@ -182,7 +185,9 @@ class Timeout(Event):
         super().__init__(sim)
         self.delay = float(delay)
         self._pending_value = value
-        self.sim._enqueue_at(self.sim.now + self.delay, self)
+        #: Absolute fire time — the slot key :meth:`Simulator.cancel` looks up.
+        self._at = sim.now + self.delay
+        sim._enqueue_at(self._at, self)
 
     def _process(self) -> None:
         self._value = self._pending_value

@@ -16,6 +16,15 @@ Scheduler layout (the hot path of every benchmark in this repository):
   one per event.
 * ``_times`` — a binary heap of the distinct future timestamps.
 
+Cancellation (:meth:`Simulator.cancel`): a pending timeout is removed from
+its slot FIFO and its callbacks are dropped, so a timer whose purpose has
+lapsed (an answered RPC deadline, a superseded completion timer) neither
+fires nor pins the objects its callbacks reference.  An emptied slot is
+deleted at once and its timestamp left in ``_times``; the loop skips a
+popped timestamp that has no slot, and the heap is rebuilt from the live
+slots once stale entries outnumber them.  A cancelled timer never counts
+in ``events_processed`` and never moves the clock.
+
 Determinism contract: events fire in ``(time, slot-FIFO)`` order — the
 clock advances through timestamps in ascending order, and all events at
 one timestamp fire in the order they were scheduled.  This is exactly the
@@ -276,11 +285,47 @@ class Simulator:
         """Request that :meth:`run` return after the current event."""
         self._stopping = True
 
+    def cancel(self, timer: Timeout) -> None:
+        """Withdraw a pending ``timer``: it never fires, and its callbacks
+        are dropped.  Cancelling a timer that already fired (or was already
+        cancelled) is a no-op.
+
+        Only timeouts can be cancelled — every other event is scheduled by
+        being triggered, and a triggered outcome cannot be taken back.
+        """
+        if timer.callbacks is None or not timer._scheduled:
+            return
+        timer._scheduled = False
+        timer.callbacks = []
+        at = timer._at
+        if at == self.now:
+            self._now_queue.remove(timer)
+            return
+        slots = self._slots
+        slot = slots[at]
+        slot.remove(timer)
+        if slot:
+            return
+        del slots[at]
+        times = self._times
+        if len(times) > 2 * len(slots) + 64:
+            # Stale timestamps dominate the heap: rebuild it in place (the
+            # run loop holds a reference) from the live slots.
+            times[:] = slots
+            heapq.heapify(times)
+
     # -- event loop -------------------------------------------------------------
+    def _drop_stale_times(self) -> None:
+        """Pop heap timestamps whose slot was emptied by cancellation."""
+        times, slots = self._times, self._slots
+        while times and times[0] not in slots:
+            heapq.heappop(times)
+
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if the queue is empty."""
         if self._now_queue:
             return self.now
+        self._drop_stale_times()
         times = self._times
         return times[0] if times else float("inf")
 
@@ -288,6 +333,7 @@ class Simulator:
         """Process exactly one event (advancing the clock to it)."""
         q = self._now_queue
         if not q:
+            self._drop_stale_times()
             times = self._times
             if not times:
                 raise SchedulingError("step() on an empty event queue")
@@ -341,7 +387,10 @@ class Simulator:
                         self.now = stop_time
                         return None
                     t = pop_time(times)
-                    self._now_queue = q = slots.pop(t)
+                    q = slots.pop(t, None)
+                    if q is None:
+                        continue  # every event at t was cancelled
+                    self._now_queue = q
                     self.now = t
                 while q:
                     q.popleft()._process()

@@ -609,6 +609,9 @@ class Resource:
             )
         self._account()  # account the interval *before* shrinking users
         self.users.remove(request)
+        # A grant's value is the request itself; drop that self-reference
+        # so a released request is freed by refcount, not the collector.
+        request._value = None
         if self.queue:
             self._grant(self.queue.popleft())
 

@@ -15,8 +15,10 @@ hinge on:
 
 The implementation is event-driven and exact for piecewise-constant
 concurrency: on every arrival/departure the remaining work of all transfers
-is advanced and the next completion re-scheduled.  Cost is O(active) per
-event, which is fine at the tens-of-streams scale of these experiments.
+is advanced and the next completion re-scheduled, cancelling the timer it
+supersedes, so at most one completion timer is ever armed.  Cost is
+O(active) per event, which is fine at the tens-of-streams scale of these
+experiments.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..simcore.errors import SimulationError
-from ..simcore.event import Event
+from ..simcore.event import Event, Timeout
 from ..telemetry import TimeWeightedGauge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,8 +110,8 @@ class FairShareChannel:
         self._active: Dict[int, _ActiveTransfer] = {}
         self._pending: List[_ActiveTransfer] = []
         self._last_update = sim.now
-        #: invalidation token for the scheduled completion callback
-        self._timer_token = 0
+        #: the latest completion timer (cancelled when superseded)
+        self._timer: Optional[Timeout] = None
         #: observable concurrency gauge (drives utilization plots)
         self.concurrency = TimeWeightedGauge(sim, 0, name=f"{name}.concurrency")
         # lifetime counters
@@ -205,9 +207,10 @@ class FairShareChannel:
             self.concurrency.set(len(self._active))
 
     def _reschedule(self) -> None:
-        """(Re)arm the completion timer for the earliest-finishing transfer."""
-        self._timer_token += 1
-        token = self._timer_token
+        """(Re)arm the completion timer for the earliest-finishing transfer,
+        cancelling the one it supersedes."""
+        if self._timer is not None:
+            self.sim.cancel(self._timer)  # a no-op once it has fired
         if not self._active:
             return
         rate = self.capacity_fn(len(self._active))
@@ -222,12 +225,10 @@ class FairShareChannel:
         # simulated instant forever.  Over-shooting is harmless — _advance
         # floors remaining at zero.
         min_step = 4.0 * math.ulp(max(self.sim.now, 1e-9))
-        timer = self.sim.timeout(max(horizon, min_step))
-        timer.add_callback(lambda _ev, tok=token: self._on_timer(tok))
+        self._timer = self.sim.timeout(max(horizon, min_step))
+        self._timer.add_callback(self._on_timer)
 
-    def _on_timer(self, token: int) -> None:
-        if token != self._timer_token:
-            return  # superseded by a later arrival/departure
+    def _on_timer(self, _ev: Timeout) -> None:
         self._advance()
         self._complete_finished()
         self._reschedule()

@@ -331,3 +331,108 @@ def test_active_process_visible_during_execution():
     sim.run()
     assert seen == [p]
     assert sim.active_process is None
+
+
+# -- timer cancellation ---------------------------------------------------------
+def test_cancelled_timer_never_fires_and_is_not_counted():
+    sim = Simulator()
+    fired = []
+    keep = sim.timeout(1.0)
+    keep.add_callback(lambda ev: fired.append("keep"))
+    drop = sim.timeout(2.0)
+    drop.add_callback(lambda ev: fired.append("drop"))
+    sim.cancel(drop)
+    sim.run()
+    assert fired == ["keep"]
+    assert sim.events_processed == 1
+    assert not drop.triggered and not drop.processed
+
+
+def test_cancel_processed_timer_is_noop():
+    sim = Simulator()
+    timer = sim.timeout(1.0, value="v")
+    sim.run()
+    sim.cancel(timer)
+    sim.cancel(timer)
+    assert timer.processed and timer.value == "v"
+    assert sim.now == 1.0
+
+
+def test_cancel_timer_due_at_current_timestamp():
+    sim = Simulator()
+    fired = []
+
+    def proc(sim):
+        due_now = sim.timeout(0.0)
+        due_now.add_callback(lambda ev: fired.append("now"))
+        sibling = sim.timeout(0.0)
+        sibling.add_callback(lambda ev: fired.append("sibling"))
+        sim.cancel(due_now)  # sits in the active slot's FIFO
+        yield sibling
+
+    sim.process(proc(sim))
+    sim.run()
+    assert fired == ["sibling"]
+
+
+def test_cancel_one_of_a_shared_slot_keeps_the_rest_in_order():
+    sim = Simulator()
+    fired = []
+    timers = [sim.timeout(1.0, value=i) for i in range(4)]
+    for t in timers:
+        t.add_callback(lambda ev: fired.append(ev.value))
+    sim.cancel(timers[1])
+    sim.run()
+    assert fired == [0, 2, 3]
+
+
+def test_run_to_exhaustion_ends_at_last_live_event():
+    """A cancelled timer never moves the clock: the run ends where the
+    same run without that timer ends."""
+
+    def scenario(with_cancelled_tail):
+        sim = Simulator()
+
+        def proc(sim):
+            yield sim.timeout(1.0)
+            if with_cancelled_tail:
+                sim.cancel(sim.timeout(50.0))
+            yield sim.timeout(2.0)
+
+        sim.process(proc(sim))
+        sim.run()
+        return sim.now, sim.events_processed
+
+    assert scenario(True) == scenario(False) == (3.0, 4)
+
+
+def test_step_and_peek_skip_cancelled_timestamps():
+    sim = Simulator()
+    sim.cancel(sim.timeout(1.0))
+    live = sim.timeout(2.0)
+    assert sim.peek() == 2.0
+    sim.step()
+    assert sim.now == 2.0 and live.processed
+    sim.cancel(sim.timeout(3.0))
+    assert sim.peek() == float("inf")
+    with pytest.raises(SchedulingError):
+        sim.step()
+
+
+def test_run_until_time_past_cancelled_timers():
+    sim = Simulator()
+    sim.cancel(sim.timeout(1.0))
+    sim.cancel(sim.timeout(5.0))
+    sim.run(until=3.0)
+    assert sim.now == 3.0
+    assert sim.events_processed == 0
+
+
+def test_many_cancellations_keep_the_heap_bounded():
+    sim = Simulator()
+    for i in range(1000):
+        sim.cancel(sim.timeout(1.0 + i))
+    assert not sim._slots
+    assert len(sim._times) <= 64
+    sim.run()
+    assert sim.now == 0.0

@@ -78,6 +78,58 @@ def test_same_timestamp_bursts_fire_in_scheduling_order(schedule):
 
 @given(
     st.lists(
+        st.tuples(
+            delay_grid,
+            st.one_of(st.none(), st.just("now"), st.integers(min_value=0, max_value=29)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=100)
+def test_cancelled_timeouts_fire_identically_on_both_kernels(plan):
+    """Scheduled and cancelled timeouts mixed.  A timer is cancelled right
+    away, or from another timer's callback — one due earlier, at the same
+    timestamp (the target may sit in the active slot) or later (a no-op,
+    it already fired) — and timers scheduled from callbacks join in.
+    Both kernels must leave the same firing order, clock and count."""
+
+    def build(sim, log):
+        timers = []
+        for tag, (delay, _, nest) in enumerate(plan):
+            timer = sim.timeout(delay, value=tag)
+            timer.add_callback(lambda ev: log.append(("fire", sim.now, ev.value)))
+            if nest:
+                timer.add_callback(
+                    lambda ev: sim.timeout(0.5).add_callback(
+                        lambda _e, tag=ev.value: log.append(("nested", sim.now, tag))
+                    )
+                )
+            timers.append(timer)
+        for target, (_, canceller, _) in zip(timers, plan):
+            if canceller == "now":
+                sim.cancel(target)
+            elif canceller is not None:
+                timers[canceller % len(timers)].add_callback(
+                    lambda _ev, t=target: sim.cancel(t)
+                )
+
+    runs = []
+    for kernel in KERNELS:
+        for _ in range(2):
+            sim = kernel()
+            log = []
+            build(sim, log)
+            sim.run()
+            runs.append((log, sim.now, sim.events_processed))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+    fired = {tag for kind, _, tag in runs[0][0] if kind == "fire"}
+    assert not fired & {tag for tag, row in enumerate(plan) if row[1] == "now"}
+
+
+@given(
+    st.lists(
         st.tuples(delay_grid, delay_grid, st.integers(min_value=0, max_value=4)),
         min_size=1,
         max_size=12,
