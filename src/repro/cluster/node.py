@@ -208,6 +208,8 @@ class ClusterMount(PosixLike):
     def __init__(self, node: ClusterNode) -> None:
         self.node = node
         self.sim = node.sim
+        self._pread_name = node.name + ".pread"
+        self._read_name = node.name + ".read"
         self._next_fd = 3
         self._open: Dict[int, _OpenFile] = {}
 
@@ -241,7 +243,7 @@ class ClusterMount(PosixLike):
     def pread(self, fd: int, length: int, offset: int) -> Event:
         entry = self._entry(fd)
         if offset == 0 and self.node.shard_map.covers(entry.path):
-            done = Event(self.sim, name=f"{self.node.name}.pread")
+            done = Event(self.sim, name=self._pread_name)
             return chain_result(
                 self.node.read(entry.path), done, lambda nbytes: min(nbytes, length)
             )
@@ -249,7 +251,7 @@ class ClusterMount(PosixLike):
 
     def read(self, fd: int, length: int) -> Event:
         entry = self._entry(fd)
-        done = Event(self.sim, name=f"{self.node.name}.read")
+        done = Event(self.sim, name=self._read_name)
         inner = self.pread(fd, length, entry.offset)
 
         def advance(nbytes: int) -> int:

@@ -75,6 +75,7 @@ class PrefetchBuffer:
         self._store: KeyedStore = KeyedStore(
             sim, capacity=_validate_capacity(capacity), name=name
         )
+        self._req_name = name + ".req"
         #: paths already delivered to a consumer this epoch (evict-on-read:
         #: a repeat request for one of these would block forever)
         self._consumed: Set[str] = set()
@@ -114,12 +115,12 @@ class PrefetchBuffer:
 
         ``payload`` is the sample's byte count, or — per the staged-error
         contract — the exception the producer's backend read failed with.
+        The returned event is the store's own put.
         """
         if isinstance(payload, Exception):
             self.counters.add("insert_errors")
         else:
             self.counters.add("inserts")
-        done = Event(self.sim, name=f"{self.name}.insert")
         tel = self.sim.telemetry
         span = None
         if tel is not None:
@@ -128,22 +129,21 @@ class PrefetchBuffer:
                 "buffer.insert", f"{self.name}.insert", "buffer", lane=True,
                 path=path, staged_error=isinstance(payload, Exception),
             )
-        inner = self._store.put(path, payload)
+        put = self._store.put(path, payload)
 
+        # The first callback on the put: bookkeeping is done before the
+        # producer resumes.
         def settled(ev: Event) -> None:
             if ev.ok:
                 self.occupancy.set(self.level)
                 if tel is not None:
                     tel.end(span, ok=True)
                     tel.sample(f"{self.name}.occupancy", self.level)
-                done.succeed()
-            else:
-                if tel is not None:
-                    tel.end(span, ok=False)
-                done.fail(ev.exception)
+            elif tel is not None:
+                tel.end(span, ok=False)
 
-        inner.add_callback(settled)
-        return done
+        put.add_callback(settled)
+        return put
 
     # -- consumer side ------------------------------------------------------------
     def contains(self, path: str) -> bool:
@@ -156,7 +156,8 @@ class PrefetchBuffer:
         buffered at request time (a *miss* means the consumer stalls until a
         producer delivers it — the starvation signal the auto-tuner watches);
         the event's value is the sample's byte count (or the staged
-        exception for a failed producer read).
+        exception for a failed producer read).  The event is the store's
+        own get.
 
         A duplicate request — for a path another consumer is already
         waiting on, or one already consumed this epoch — fails immediately
@@ -171,7 +172,7 @@ class PrefetchBuffer:
             self.counters.add("duplicate_requests")
             if tel is not None:
                 tel.instant("buffer.duplicate", self.name, "buffer", path=path)
-            done = Event(self.sim, name=f"{self.name}.req")
+            done = Event(self.sim, name=self._req_name)
             done.fail(
                 DuplicateRequestError(
                     f"request({path!r}) on {self.name!r} can never be served: "
@@ -198,9 +199,10 @@ class PrefetchBuffer:
         # what makes a concurrent duplicate request fail fast instead of
         # parking on a key that will never be re-staged.
         self._consumed.add(path)
-        done = Event(self.sim, name=f"{self.name}.req")
-        inner = self._store.get(path)
+        get = self._store.get(path)
 
+        # The first callback on the get: bookkeeping is done before the
+        # consumer resumes.
         def settled(ev: Event) -> None:
             if ev.ok:
                 self.occupancy.set(self.level)
@@ -208,14 +210,11 @@ class PrefetchBuffer:
                     if wait_span is not None:
                         tel.end(wait_span, ok=True)
                     tel.sample(f"{self.name}.occupancy", self.level)
-                done.succeed(ev.value)
-            else:
-                if wait_span is not None:
-                    tel.end(wait_span, ok=False)
-                done.fail(ev.exception)
+            elif wait_span is not None:
+                tel.end(wait_span, ok=False)
 
-        inner.add_callback(settled)
-        return hit, done
+        get.add_callback(settled)
+        return hit, get
 
     # -- statistics --------------------------------------------------------------
     def hit_rate(self) -> float:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ...simcore.errors import SimulationError
-from ...simcore.event import Event, Timeout
+from ...simcore.event import Event, Sink, Timeout
 from ...telemetry import CounterSet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,19 +154,19 @@ class ControlChannel:
         err.__cause__ = exc
         return err
 
-    def _dispatch(self, kind: str, fn, args, timeout: Optional[float], sink) -> None:
+    def _dispatch(self, kind: str, fn, args, timeout: Optional[float], sink: Sink) -> None:
         """One request/reply exchange with timeout plumbing (shared by
         call/request, counted under ``kind``); its outcome goes to ``sink``.
 
-        ``sink`` is anything with ``succeed(value)``/``fail(exc)``: the
-        caller event, or a :class:`_RetryLoop` deciding whether to try
-        again.  A ``"requests"`` exchange has data-plane semantics: a
-        far-side return value that is itself an :class:`Event` is waited
-        on before the reply leg, and its failure is a far-side
-        (application) failure.  Whichever of reply, failure or timeout
-        comes first settles ``sink``, exactly once, and cancels the
-        deadline timer; the exchange still runs to completion, so a late
-        reply is discarded.
+        ``sink`` is a :class:`~repro.simcore.event.Sink`, the protocol the
+        storage stack settles too: the caller event, or a
+        :class:`_RetryLoop` deciding whether to try again.  A
+        ``"requests"`` exchange has data-plane semantics: a far-side return
+        value that is itself an :class:`Event` is waited on before the
+        reply leg, and its failure is a far-side (application) failure.
+        Whichever of reply, failure or timeout comes first settles
+        ``sink``, exactly once, and cancels the deadline timer; the
+        exchange still runs to completion, so a late reply is discarded.
         """
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")

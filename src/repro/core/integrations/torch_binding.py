@@ -58,6 +58,7 @@ class PrismaUDSServer:
         self.stage = stage
         self.service_time = service_time
         self.name = name
+        self._reply_name = name + ".reply"
         self._requests: Store = Store(sim, name=f"{name}.reqs")
         self.counters = CounterSet()
         #: requests currently queued or being handled (contention signal)
@@ -66,7 +67,7 @@ class PrismaUDSServer:
 
     def submit(self, path: str) -> Event:
         """Client entry point: request one whole-file read."""
-        reply = Event(self.sim, name=f"{self.name}.reply")
+        reply = Event(self.sim, name=self._reply_name)
         self.counters.add("requests")
         self.backlog.increment()
         self._requests.put((path, reply))
@@ -119,6 +120,7 @@ class PrismaTorchClient(PosixLike):
         self.server = server
         self.size_lookup = size_lookup
         self.worker_id = worker_id
+        self._request_name = f"uds.client{worker_id}"
         self.client_overhead = client_overhead
         self._next_fd = 1
         self._open: Dict[int, str] = {}
@@ -143,7 +145,7 @@ class PrismaTorchClient(PosixLike):
 
     # -- data path (over the socket) -----------------------------------------------
     def _request(self, path: str) -> Event:
-        done = Event(self.sim, name=f"uds.client{self.worker_id}")
+        done = Event(self.sim, name=self._request_name)
 
         def round_trip():
             if self.client_overhead > 0:

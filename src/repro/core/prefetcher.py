@@ -109,6 +109,7 @@ class ParallelPrefetcher(OptimizationObject):
             raise ValueError("retry_backoff must be >= 0")
         self.buffer = PrefetchBuffer(sim, buffer_capacity, name=f"{name}.buffer")
         self.queue = FilenameQueue(name=f"{name}.queue")
+        self._serve_name = name + ".serve"
         self.max_producers = max_producers
         self.max_read_retries = max_read_retries
         self.retry_backoff = retry_backoff
@@ -360,7 +361,7 @@ class ParallelPrefetcher(OptimizationObject):
                 "prefetch.serve", f"{self.name}.serve", "prefetcher", lane=True, path=path
             )
         hit, fetched = self.buffer.request(path)
-        done = Event(self.sim, name=f"{self.name}.serve")
+        done = Event(self.sim, name=self._serve_name)
         if tel is not None:
             serve_span.args["hit"] = hit
             hist = tel.registry.histogram("prisma.serve_latency_seconds", object=self.name)

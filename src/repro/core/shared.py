@@ -167,6 +167,7 @@ class SharedDatasetPrefetcher(OptimizationObject):
             sim, buffer_capacity, fanout=consumers, name=f"{name}.buffer"
         )
         self.queue = FilenameQueue(name=f"{name}.queue")
+        self._serve_name = name + ".serve"
         self.max_producers = max_producers
         self._target_producers = producers
         self._live_producers = 0
@@ -236,7 +237,7 @@ class SharedDatasetPrefetcher(OptimizationObject):
         if not self.queue.covers(path):
             return None
         fetched = self.buffer.take(path)
-        done = Event(self.sim, name=f"{self.name}.serve")
+        done = Event(self.sim, name=self._serve_name)
 
         def after_fetch(ev: Event) -> None:
             if not ev.ok:

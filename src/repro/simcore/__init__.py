@@ -8,7 +8,9 @@ control planes).  It provides:
   slot per timestamp, an immediate queue for the current time, and a heap
   of distinct future timestamps (see DESIGN.md on kernel internals).
 * :class:`Process` — generator-based cooperative processes.
-* Events: :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf`.
+* Events: :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf`;
+  the :class:`Sink` protocol (``succeed``/``fail``) that request paths
+  settle directly, and :class:`Continuation`, a sink of two callables.
 * Resources: :class:`Store`, :class:`FilterStore`, :class:`KeyedStore`
   (O(1) key-addressed buffering over a :class:`KeyedIndex`),
   :class:`Resource`, :class:`Lock`, :class:`Container`.  Pending
@@ -29,7 +31,7 @@ from .errors import (
     SimulationError,
     StopSimulation,
 )
-from .event import AllOf, AnyOf, Event, Timeout
+from .event import AllOf, AnyOf, Continuation, Event, Sink, Timeout
 from .kernel import Process, Simulator
 from .random import RandomStreams
 from .resources import (
@@ -57,6 +59,7 @@ __all__ = [
     "AnyOf",
     "CANCELLED",
     "Container",
+    "Continuation",
     "DuplicateKeyError",
     "DuplicateRequestError",
     "Event",
@@ -78,6 +81,7 @@ __all__ = [
     "ResourceRequest",
     "SchedulingError",
     "SimulationError",
+    "Sink",
     "Simulator",
     "StopSimulation",
     "Store",

@@ -10,7 +10,7 @@ dependency-free.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Protocol
 
 from .errors import EventAlreadyTriggered
 
@@ -140,15 +140,47 @@ class Event:
         return f"<{type(self).__name__}{label} {state} at t={self.sim.now:.6g}>"
 
 
+class Sink(Protocol):
+    """Where a request's outcome goes: ``succeed(value)`` or ``fail(exc)``.
+
+    An :class:`Event` is a sink; so is a :class:`Continuation`, and so is
+    any object with the two methods (the RPC retry loop is one).  A layer
+    that takes a sink settles it exactly once, directly from the kernel
+    event that produced the outcome, so forwarding a result across a layer
+    boundary costs no kernel event of its own.
+    """
+
+    def succeed(self, value: Any = None) -> Any: ...  # pragma: no cover
+
+    def fail(self, exception: BaseException) -> Any: ...  # pragma: no cover
+
+
+class Continuation:
+    """A :class:`Sink` made of two callables: ``proceed(value)`` on
+    success, ``fail(exc)`` on failure — the caller's next step, run in the
+    same kernel event as the callee's completion."""
+
+    __slots__ = ("succeed", "fail")
+
+    def __init__(
+        self, proceed: Callable[[Any], Any], fail: Callable[[BaseException], Any]
+    ) -> None:
+        self.succeed = proceed
+        self.fail = fail
+
+
 def chain_result(
     inner: Event, done: Event, transform: Optional[Callable[[Any], Any]] = None
 ) -> Event:
     """Forward ``inner``'s outcome to ``done`` when it settles.
 
-    The canonical glue between an internal event and a caller-facing one:
-    success forwards the value (optionally mapped through ``transform``),
-    failure forwards the exception.  Returns ``done`` so call sites can
-    build and forward in one expression.
+    For adapters at public boundaries that must hand out an event of their
+    own, distinct from the one they wait on — typically to map the value
+    through ``transform`` or to join a process.  Success forwards the
+    (mapped) value, failure the exception.  The relay costs one kernel
+    event, so an internal hop that only forwards should instead pass a
+    :class:`Sink` down or return the inner event itself.  Returns ``done``
+    so call sites can build and forward in one expression.
     """
 
     def _settle(ev: Event) -> None:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..simcore.event import Event
+from ..simcore.event import Continuation, Event, Sink
 from ..simcore.resources import Resource
 from ..telemetry import CounterSet
 from .fluid import FairShareChannel, saturating_capacity
@@ -281,12 +281,13 @@ class BlockDevice:
         latency: float,
         nbytes: float,
         weight: float,
-        op: str = "read",
-    ) -> Event:
+        op: str,
+        sink: Sink,
+    ) -> None:
         """Latency phase (behind a seek slot if the profile has them), then
-        the transfer; each phase's completion callback starts the next."""
+        the transfer; each phase's completion callback starts the next, and
+        the transfer's completion settles ``sink`` with the service time."""
         sim = self.sim
-        done = Event(sim)
         tel = sim.telemetry
         span = service = None
         if tel is not None:
@@ -299,18 +300,18 @@ class BlockDevice:
             nonlocal service
             if tel is not None:
                 service = tel.begin("dev.transfer", span.track, "storage")
-            channel.transfer(nbytes, weight=weight).then(transferred, failed)
+            channel.submit(nbytes, Continuation(transferred, failed), weight)
 
         def transferred(duration: float) -> None:
             if tel is not None:
                 tel.end(service)
                 tel.end(span, ok=True)
-            done.succeed(lat + duration)
+            sink.succeed(lat + duration)
 
         def failed(exc: BaseException) -> None:
             if tel is not None:
                 tel.end(span, ok=False)
-            done.fail(exc)
+            sink.fail(exc)
 
         if lat <= 0:
             transfer()
@@ -334,11 +335,10 @@ class BlockDevice:
                 sim.timeout(lat).add_callback(seeked)
 
             slot.add_callback(granted)
-        return done
 
     # -- public API -------------------------------------------------------------
-    def read(self, nbytes: float, weight: float = 1.0) -> Event:
-        """Read ``nbytes``; the event value is the total service time.
+    def submit_read(self, nbytes: float, sink: Sink, weight: float = 1.0) -> None:
+        """Read ``nbytes``; ``sink`` succeeds with the total service time.
 
         Reads of at least ``large_read_threshold`` bytes stream at the
         sequential rate (one request, no per-file overhead amplification).
@@ -349,36 +349,59 @@ class BlockDevice:
         self.counters.add("read_bytes", nbytes)
         if nbytes >= self.profile.large_read_threshold:
             self.counters.add("sequential_reads")
-            return self._request(
-                self._seq_read_channel, self.profile.read_latency, nbytes, weight, op="seqread"
+            self._request(
+                self._seq_read_channel, self.profile.read_latency, nbytes, weight,
+                "seqread", sink,
             )
-        return self._request(
-            self._read_channel, self.profile.read_latency, nbytes, weight, op="read"
-        )
+        else:
+            self._request(
+                self._read_channel, self.profile.read_latency, nbytes, weight, "read", sink
+            )
 
-    def write(self, nbytes: float, weight: float = 1.0) -> Event:
-        """Write ``nbytes``; the event value is the total service time.
+    def submit_write(self, nbytes: float, sink: Sink, weight: float = 1.0) -> None:
+        """Write ``nbytes``; ``sink`` succeeds with the total service time.
 
         On profiles with a ``mixed_write_penalty``, reads run at reduced
         bandwidth while any write is in flight (and recover when the last
-        one lands) — the read/write interference checkpoint bursts inflict
-        on the data path.
+        one lands, before ``sink`` hears of it) — the read/write
+        interference checkpoint bursts inflict on the data path.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         self.counters.add("writes")
         self.counters.add("write_bytes", nbytes)
-        request = self._request(
-            self._write_channel, self.profile.write_latency, nbytes, weight, op="write"
-        )
         if self.profile.mixed_write_penalty > 0:
             self._writes_in_flight += 1
             if self._writes_in_flight == 1:
                 self._apply_read_capacity()
-            request.add_callback(self._write_landed)
-        return request
+            caller = sink
 
-    def _write_landed(self, _ev: Event) -> None:
+            def landed(duration: float) -> None:
+                self._write_landed()
+                caller.succeed(duration)
+
+            def landed_failed(exc: BaseException) -> None:
+                self._write_landed()
+                caller.fail(exc)
+
+            sink = Continuation(landed, landed_failed)
+        self._request(
+            self._write_channel, self.profile.write_latency, nbytes, weight, "write", sink
+        )
+
+    def read(self, nbytes: float, weight: float = 1.0) -> Event:
+        """:meth:`submit_read` with an event as the sink; returns the event."""
+        event = Event(self.sim)
+        self.submit_read(nbytes, event, weight)
+        return event
+
+    def write(self, nbytes: float, weight: float = 1.0) -> Event:
+        """:meth:`submit_write` with an event as the sink; returns the event."""
+        event = Event(self.sim)
+        self.submit_write(nbytes, event, weight)
+        return event
+
+    def _write_landed(self) -> None:
         self._writes_in_flight -= 1
         if self._writes_in_flight == 0:
             self._apply_read_capacity()

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..simcore.event import Event
+from ..simcore.event import Continuation, Event
 from ..telemetry import CounterSet
 from .cache import PageCache
 from .device import BlockDevice, DeviceProfile, GiB, intel_p4600
@@ -165,9 +165,10 @@ class DistributedFilesystem:
             req.finish(nbytes, "ost")
 
         def read_ost() -> None:
-            target.device.read(nbytes).then(
-                lambda _: self.network.transfer(nbytes).then(delivered, req.fail), req.fail
-            )
+            target.device.submit_read(nbytes, Continuation(ship, req.fail))
+
+        def ship(_service: float) -> None:
+            self.network.submit(nbytes, Continuation(delivered, req.fail))
 
         def arrived(_ev: object) -> None:
             if nbytes == 0:
@@ -212,9 +213,10 @@ class DistributedFilesystem:
             if nbytes == 0:
                 stored(None)
                 return
-            self.network.transfer(nbytes).then(
-                lambda _: target.device.write(nbytes).then(stored, req.fail), req.fail
-            )
+            self.network.submit(nbytes, Continuation(store, req.fail))
+
+        def store(_duration: float) -> None:
+            target.device.submit_write(nbytes, Continuation(stored, req.fail))
 
         self.sim.timeout(self.rpc_latency).then(arrived, req.fail)
         return req.done

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..simcore.errors import SimulationError
-from ..simcore.event import Event
+from ..simcore.event import Continuation, Event
 from .cache import PageCache
 from .device import BlockDevice
 
@@ -74,9 +74,11 @@ class BackendRequest:
     """One read or write in flight on a storage backend.
 
     Holds the caller-facing event and the request's telemetry span.  A
-    backend chains the request's phases as completion callbacks
-    (:meth:`~repro.simcore.event.Event.then`), and every way out —
-    :meth:`finish` or :meth:`fail` — closes the span with its outcome.
+    backend chains the request's phases as completion callbacks — a
+    :class:`~repro.simcore.event.Continuation` handed to the device or
+    channel, or :meth:`~repro.simcore.event.Event.then` on a timer — and
+    every way out, :meth:`finish` or :meth:`fail`, closes the span with its
+    outcome.  The caller's event is the only event the request adds.
     """
 
     __slots__ = ("sim", "backend", "done", "tel", "span")
@@ -240,7 +242,7 @@ class Filesystem:
                     lambda _: req.finish(nbytes, "cache-hit"), req.fail
                 )
             else:
-                self.device.read(nbytes).then(from_device, req.fail)
+                self.device.submit_read(nbytes, Continuation(from_device, req.fail))
 
         req.after_fault(self.fault_hook, path, nbytes, lookup)
         return req.done
@@ -266,8 +268,10 @@ class Filesystem:
                 self.cache.invalidate(path)
             req.wrote(nbytes, "device")
 
-        io = self.device.write(nbytes) if nbytes > 0 else self.sim.timeout(1e-6)
-        io.then(written, req.fail)
+        if nbytes > 0:
+            self.device.submit_write(nbytes, Continuation(written, req.fail))
+        else:
+            self.sim.timeout(1e-6).then(written, req.fail)
         return req.done
 
     # -- observability ------------------------------------------------------------

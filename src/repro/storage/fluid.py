@@ -19,6 +19,11 @@ is advanced and the next completion re-scheduled, cancelling the timer it
 supersedes, so at most one completion timer is ever armed.  Cost is
 O(active) per event, which is fine at the tens-of-streams scale of these
 experiments.
+
+A finished transfer settles its caller's :class:`~repro.simcore.event.Sink`
+inside the timer event that finished it — no per-transfer completion event
+— and only after the timer has been re-armed, so a sink that starts a new
+transfer on the same channel sees consistent state.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..simcore.errors import SimulationError
-from ..simcore.event import Event, Timeout
+from ..simcore.event import Event, Sink, Timeout
 from ..telemetry import TimeWeightedGauge
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,7 +78,7 @@ class _ActiveTransfer:
     ident: int
     remaining: float
     weight: float
-    event: Event
+    sink: Sink
     started_at: float
     nbytes: float
 
@@ -104,6 +109,7 @@ class FairShareChannel:
             raise ValueError("max_concurrency must be >= 1")
         self.sim = sim
         self.name = name
+        self._xfer_name = "xfer:" + name
         self.capacity_fn = capacity_fn
         self.max_concurrency = max_concurrency
         self._ids = itertools.count()
@@ -119,34 +125,39 @@ class FairShareChannel:
         self.transfers_completed = 0
 
     # -- public API -----------------------------------------------------------
-    def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
-        """Start moving ``nbytes``; the returned event triggers on completion.
+    def submit(self, nbytes: float, sink: Sink, weight: float = 1.0) -> None:
+        """Start moving ``nbytes``; ``sink`` succeeds on completion.
 
-        The event's value is the transfer duration (seconds spent from call
-        to completion, including any queueing for a concurrency slot).
+        The value is the transfer duration (seconds spent from call to
+        completion, including any queueing for a concurrency slot).  A
+        zero-byte transfer settles ``sink`` before returning.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if weight <= 0:
             raise ValueError("weight must be positive")
-        event = Event(self.sim, name=f"xfer:{self.name}")
+        if nbytes == 0:
+            sink.succeed(0.0)
+            return
         entry = _ActiveTransfer(
             ident=next(self._ids),
             remaining=float(nbytes),
             weight=float(weight),
-            event=event,
+            sink=sink,
             started_at=self.sim.now,
             nbytes=float(nbytes),
         )
-        if nbytes == 0:
-            event.succeed(0.0)
-            return event
         self._advance()
         if len(self._active) < self.max_concurrency:
             self._admit(entry)
         else:
             self._pending.append(entry)
         self._reschedule()
+
+    def transfer(self, nbytes: float, weight: float = 1.0) -> Event:
+        """:meth:`submit` with an event as the sink; returns the event."""
+        event = Event(self.sim, name=self._xfer_name)
+        self.submit(nbytes, event, weight)
         return event
 
     def set_capacity_fn(self, capacity_fn: Callable[[int], float]) -> None:
@@ -194,17 +205,19 @@ class FairShareChannel:
             served = rate * (entry.weight / total_w) * dt
             entry.remaining = max(entry.remaining - served, 0.0)
 
-    def _complete_finished(self) -> None:
+    def _complete_finished(self) -> List[_ActiveTransfer]:
+        """Retire finished transfers and admit queued ones in their place;
+        returns the finished entries, whose sinks are not yet settled."""
         finished = [t for t in self._active.values() if t.remaining <= _EPSILON]
         for entry in finished:
             del self._active[entry.ident]
             self.bytes_served += entry.nbytes
             self.transfers_completed += 1
-            entry.event.succeed(self.sim.now - entry.started_at)
         if finished:
             while self._pending and len(self._active) < self.max_concurrency:
                 self._admit(self._pending.pop(0))
             self.concurrency.set(len(self._active))
+        return finished
 
     def _reschedule(self) -> None:
         """(Re)arm the completion timer for the earliest-finishing transfer,
@@ -230,8 +243,13 @@ class FairShareChannel:
 
     def _on_timer(self, _ev: Timeout) -> None:
         self._advance()
-        self._complete_finished()
+        finished = self._complete_finished()
         self._reschedule()
+        # Sinks run last: one that starts a transfer here re-enters a
+        # channel whose state and timer are already up to date.
+        now = self.sim.now
+        for entry in finished:
+            entry.sink.succeed(now - entry.started_at)
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
-from ..simcore.event import Event
+from ..simcore.event import Continuation, Event
 from ..telemetry import CounterSet
 from .device import GiB
 from .filesystem import (
@@ -197,7 +197,7 @@ class ObjectStore:
             req.finish(nbytes, "service")
 
         def stream() -> None:
-            self.link.transfer(nbytes).then(delivered, req.fail)
+            self.link.submit(nbytes, Continuation(delivered, req.fail))
 
         def first_byte(_ev: object) -> None:
             if nbytes == 0:
@@ -235,7 +235,7 @@ class ObjectStore:
 
         def accepted(_ev: object) -> None:
             if nbytes > 0:
-                self.link.transfer(nbytes).then(uploaded, req.fail)
+                self.link.submit(nbytes, Continuation(uploaded, req.fail))
             else:
                 uploaded(None)
 

@@ -14,7 +14,7 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
-from ..simcore.event import Event, chain_result
+from ..simcore.event import Event
 from .filesystem import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -108,23 +108,23 @@ class PosixLayer(PosixLike):
         entry = self._entry(fd)
         return self.fs.read(entry.path, offset, length)
 
+    # The backend's own event is the caller's: a descriptor's bookkeeping
+    # rides on it as the first callback (callbacks run in registration
+    # order), so it is done before the caller resumes.
     def read(self, fd: int, length: int) -> Event:
         entry = self._entry(fd)
-        done = Event(self.sim, name=f"read:{entry.path}")
-        inner = self.fs.read(entry.path, entry.offset, length)
+        request = self.fs.read(entry.path, entry.offset, length)
 
-        def advance(nbytes: int) -> int:
-            entry.offset += nbytes
-            return nbytes
+        def advance(ev: Event) -> None:
+            if ev.ok:
+                entry.offset += ev.value
 
-        return chain_result(inner, done, advance)
+        request.add_callback(advance)
+        return request
 
     def read_whole(self, path: str) -> Event:
         """Convenience: open + read-to-EOF + close as one event."""
         fd = self.open(path)
-        size = self.fstat_size(fd)
-        done = Event(self.sim, name=f"readwhole:{path}")
-        inner = self.pread(fd, size, 0)
-        # Callbacks run in registration order: close before forwarding.
-        inner.add_callback(lambda ev: self.close(fd))
-        return chain_result(inner, done)
+        request = self.pread(fd, self.fstat_size(fd), 0)
+        request.add_callback(lambda _ev: self.close(fd))
+        return request

@@ -12,6 +12,7 @@ from repro.dataset.synthetic import imagenet_like
 from repro.experiments.cluster import run_cluster_serving
 from repro.experiments.config import ExperimentScale
 from repro.experiments.runner import run_tf_trial
+from repro.experiments.writes import run_write_trial
 from repro.frameworks.models import LENET
 from repro.simcore.random import RandomStreams
 
@@ -33,15 +34,17 @@ class _KernelProbe:
 
 
 def test_cluster_events_per_read_ceiling():
-    # Recorded at 11.38 events/read (12.32 before deadline cancellation).
+    # Recorded at 9.05 events/read (11.38 before relay-free completions,
+    # 12.32 before deadline cancellation).
     probe = _KernelProbe()
     report = run_cluster_serving(seed=SEED, n_nodes=8, n_files=64, epochs=1, telemetry=probe)
     assert report.completed and report.requests == 8 * 64
-    assert probe.sim.events_processed / report.requests <= 11.5
+    assert probe.sim.events_processed / report.requests <= 9.1
 
 
 def test_tf_prisma_events_per_read_ceiling():
-    # Recorded at 18.41 events/read (20.05 before timer cancellation).
+    # Recorded at 13.48 events/read (18.41 before relay-free completions,
+    # 20.05 before timer cancellation).
     scale = 1600
     probe = _KernelProbe()
     run_tf_trial(
@@ -50,4 +53,17 @@ def test_tf_prisma_events_per_read_ceiling():
     )
     split = imagenet_like(RandomStreams(SEED), scale=scale)
     reads = len(split.train) + len(split.validation)
-    assert probe.sim.events_processed / reads <= 18.5
+    assert probe.sim.events_processed / reads <= 13.6
+
+
+def test_object_store_checkpoint_events_per_read_ceiling():
+    # Object-store reads with async checkpoint PUTs beside them.  Recorded
+    # at 16.56 events/read (20.57 before relay-free completions).
+    n_files, epochs = 640, 2
+    probe = _KernelProbe()
+    result = run_write_trial(
+        "object-mixed", "prisma-async", seed=SEED, n_files=n_files, epochs=epochs,
+        telemetry=probe,
+    )
+    assert result.checkpoints == 5
+    assert probe.sim.events_processed / (n_files * epochs) <= 16.6
