@@ -15,7 +15,9 @@ import json
 
 import pytest
 
+from repro.core import SharedDatasetPrefetcher, TuningSettings
 from repro.core.control.rpc import ControlChannel
+from repro.dataset import tiny_dataset
 from repro.experiments.cluster import run_cluster_serving
 from repro.experiments.runner import ExperimentScale, run_tf_trial
 from repro.experiments.writes import run_write_trial
@@ -31,7 +33,7 @@ from repro.faults import (
 from repro.frameworks.models import LENET
 from repro.simcore import Simulator
 from repro.simcore.random import RandomStreams
-from repro.storage import BlockDevice, Filesystem, sata_hdd
+from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, sata_hdd
 from repro.storage.cache import PageCache
 from repro.telemetry import Telemetry
 
@@ -132,6 +134,55 @@ def _hdd_reads(telemetry=None) -> dict:
     }
 
 
+def _shared_dataset(telemetry=None) -> dict:
+    """Three jobs on one read-once/serve-K prefetcher: a small buffer that
+    fills, consumers at slightly different paces, and a mid-epoch retune
+    that grows the buffer, then shrinks it below its level and drops a
+    producer."""
+    sim = Simulator()
+    if telemetry is not None:
+        telemetry.attach(sim, process="shared")
+    dev = BlockDevice(sim, intel_p4600())
+    fs = Filesystem(sim, dev)
+    split = tiny_dataset(RandomStreams(4), n_train=96, n_val=4)
+    split.materialize(fs)
+    pf = SharedDatasetPrefetcher(
+        sim, PosixLayer(sim, fs), consumers=3, producers=3, buffer_capacity=6
+    )
+    paths = split.train.filenames()
+    log, snapshots = [], []
+
+    def consumer(cid, think):
+        for k, path in enumerate(paths):
+            yield sim.timeout(think)
+            nbytes = yield pf.serve(path)
+            log.append((cid, k, nbytes, sim.now))
+
+    def retune():
+        yield sim.timeout(2e-3)
+        pf.buffer.set_capacity(12)
+        snapshots.append(dataclasses.asdict(pf.snapshot()))
+        yield sim.timeout(3e-3)
+        pf.apply_settings(TuningSettings(producers=2, buffer_capacity=8))
+        snapshots.append(dataclasses.asdict(pf.snapshot()))
+
+    pf.on_epoch(paths)
+    sim.process(retune())
+    paces = (9.5e-5, 1e-4, 1.05e-4)
+    sim.run(until=sim.all_of([sim.process(consumer(c, t)) for c, t in enumerate(paces)]))
+    snapshots.append(dataclasses.asdict(pf.snapshot()))
+    if telemetry is not None:
+        telemetry.detach()
+    return {
+        "log": log,
+        "device": dev.counters.as_dict(),
+        "buffer": pf.buffer.counters.as_dict(),
+        "occupancy": pf.buffer.occupancy.mean(),
+        "snapshots": snapshots,
+        "now": sim.now,
+    }
+
+
 CASES = {
     "cluster": (
         _cluster,
@@ -152,6 +203,10 @@ CASES = {
     "hdd-reads": (
         _hdd_reads,
         "54f5f8d7a5b59f45aee961dcd56478bb9d8f0d972534fea2892b22734a47dff7",
+    ),
+    "shared-dataset": (
+        _shared_dataset,
+        "5a860d9f5f4f509820957f8b5f47c37a3f04b43fd5a73882aae5e9c4af2c91e8",
     ),
 }
 
