@@ -5,25 +5,29 @@ Usage::
     python -m repro figure2 [--quick] [--models lenet alexnet] [--batches 64 256]
     python -m repro figure3 [--quick]
     python -m repro figure4 [--quick] [--workers 0 2 4 8 16]
-    python -m repro ablation {autotune,device,period}
     python -m repro faults-demo [--seed N] [--files N]
     python -m repro writes [--quick] [--files N] [--epochs N]
-    python -m repro clairvoyant [--files N] [--epochs N] [--lookahead N]
     python -m repro cluster [--quick] [--nodes 128 256 512 1024] [--files N]
+    python -m repro clairvoyant [--files N] [--epochs N] [--lookahead N]
     python -m repro predict [--quick] [--samples FILE] [--model-out FILE]
+    python -m repro ablation {autotune,device,period}
+    python -m repro distributed [--nodes 1 2 4]
+    python -m repro multitenant [--jobs N]
+    python -m repro latency
     python -m repro live-demo [--jobs N] [--files N] [--budget N]
+    python -m repro demo
     python -m repro trace --experiment figure2 --out trace.json
     python -m repro profile simcore [--top N] [--sort cumulative|tottime|ncalls]
-    python -m repro demo
 
 (or the installed ``prisma-repro`` script).
 
-The experiment commands, ``trace`` and ``profile`` are generated from the
-workload registry (:mod:`repro.experiments.registry`).  Every command
-parses the shared flags ``--seed N``, ``--out FILE`` (results as JSON),
-``--trace FILE`` (Chrome-trace of the run, load in ``chrome://tracing``
-or Perfetto) and ``--quiet`` (suppress charts and progress chatter); a
-shared flag the command does not support exits with status 2.
+Every command but ``trace`` and ``profile`` is one workload of the
+registry (:mod:`repro.experiments.registry`), and those two take their
+choices from it.  Every command parses the shared flags ``--seed N``,
+``--out FILE`` (results as JSON), ``--trace FILE`` (Chrome-trace of the
+run, load in ``chrome://tracing`` or Perfetto) and ``--quiet`` (suppress
+charts and progress chatter); a shared flag the command does not support
+exits with status 2.
 """
 
 from __future__ import annotations
@@ -42,24 +46,6 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _telemetry_for(args):
-    """A Telemetry hub when ``--trace`` was given, else ``None``."""
-    if not args.trace:
-        return None
-    from .telemetry import Telemetry
-
-    return Telemetry()
-
-
-def _finish_trace(telemetry, args) -> None:
-    if telemetry is None:
-        return
-    from .telemetry import write_chrome_trace
-
-    stats = write_chrome_trace(telemetry, args.trace)
-    _note(args, f"wrote {args.trace} ({stats['events']} trace events)")
-
-
 def _cmd_workload(args) -> int:
     """Run one registry workload with its preset plus the command's flags."""
     wl = args.workload
@@ -71,9 +57,17 @@ def _cmd_workload(args) -> int:
         params["progress"] = lambda item: print(
             wl.progress(item), file=sys.stderr, flush=True
         )
-    telemetry = _telemetry_for(args)
+    telemetry = None
+    if args.trace:
+        from .telemetry import Telemetry
+
+        telemetry = Telemetry()
     result = wl.run(seed=args.seed, telemetry=telemetry, **params)
-    _finish_trace(telemetry, args)
+    if telemetry is not None:
+        from .telemetry import write_chrome_trace
+
+        stats = write_chrome_trace(telemetry, args.trace)
+        _note(args, f"wrote {args.trace} ({stats['events']} trace events)")
     for dest, write in args.outputs:
         message = getattr(args, dest) and write(result, getattr(args, dest))
         if message:
@@ -128,151 +122,8 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_ablation(args) -> int:
-    from .experiments.ablation import (
-        autotune_point,
-        best_static,
-        control_period_sensitivity,
-        device_sensitivity,
-        static_grid,
-    )
-    from .experiments.report import format_ablation
-
-    if args.which == "autotune":
-        auto = autotune_point()
-        grid = static_grid()
-        print(format_ablation("Auto-tune vs static grid", [auto] + grid, baseline=best_static(grid)))
-    elif args.which == "device":
-        print(format_ablation("Device sensitivity", device_sensitivity()))
-    elif args.which == "period":
-        print(format_ablation("Control-period sensitivity", control_period_sensitivity()))
-    return 0
-
-
-def _cmd_distributed(args) -> int:
-    from .experiments.extensions import format_distributed_sweep, run_distributed_sweep
-
-    nodes = tuple(args.nodes) if args.nodes else (1, 2, 4)
-    rows = run_distributed_sweep(node_counts=nodes)
-    print(format_distributed_sweep(rows))
-    return 0
-
-
-def _cmd_multitenant(args) -> int:
-    from .experiments.extensions import format_multitenant, run_multitenant_comparison
-
-    rows = run_multitenant_comparison(n_jobs=args.jobs)
-    print(format_multitenant(rows))
-    return 0
-
-
-def _cmd_latency(args) -> int:
-    from .experiments.extensions import format_latency, run_latency_comparison
-
-    print(format_latency(run_latency_comparison()))
-    return 0
-
-
-def _cmd_live_demo(args) -> int:
-    """Live PRISMA with global coordination: real threads, real files.
-
-    Builds ``--jobs`` prefetcher pools over temporary on-disk datasets and
-    registers them all with ONE live controller running a
-    :class:`FairShareGlobalPolicy` — the same kernel, policies, and
-    telemetry as the simulated control plane, driving actual I/O.  Control
-    cycles are stepped deterministically between reads so the printed
-    allocation is reproducible.
-    """
-    import os
-    import tempfile
-
-    from .core.live import LiveController, LivePrefetcher
-    from .multitenant.fairness import FairShareGlobalPolicy
-
-    telemetry = _telemetry_for(args)
-    policy = FairShareGlobalPolicy(
-        total_producer_budget=args.budget, per_job_cap=max(args.budget - 1, 1)
-    )
-    controller = LiveController(global_policy=policy, telemetry=telemetry)
-    prefetchers = [
-        LivePrefetcher(producers=1, buffer_capacity=8, max_producers=args.budget,
-                       name=f"job{j}.pf")
-        for j in range(args.jobs)
-    ]
-    for pf in prefetchers:
-        controller.register(pf)
-
-    with tempfile.TemporaryDirectory(prefix="prisma-live-") as root:
-        datasets = []
-        for job, pf in enumerate(prefetchers):
-            paths = []
-            for i in range(args.files):
-                path = os.path.join(root, f"job{job}_{i:05d}.bin")
-                with open(path, "wb") as fh:
-                    fh.write(b"\x5a" * 4096)
-                paths.append(path)
-            datasets.append(paths)
-            pf.load_epoch(paths)
-        try:
-            # Interleave the tenants' reads, running one control cycle per
-            # round — the global policy reallocates the thread budget as
-            # every tenant's demand becomes visible.
-            for i in range(args.files):
-                for pf, paths in zip(prefetchers, datasets):
-                    pf.read(paths[i], timeout=30.0)
-                if (i + 1) % 4 == 0:
-                    controller.run_cycle()
-            controller.run_cycle()
-        finally:
-            for pf in prefetchers:
-                pf.close()
-
-    _finish_trace(telemetry, args)
-    summary = {
-        "jobs": [
-            {
-                "name": pf.name,
-                "files": pf.files_fetched,
-                "hit_rate": pf.buffer.hit_rate(),
-                "producers": pf.target_producers,
-            }
-            for pf in prefetchers
-        ],
-        "control": {
-            "cycles": controller.cycles,
-            "enforcements": controller.enforcements,
-            "rpc_failures": controller.rpc_failures,
-        },
-    }
-    if args.out:
-        from .experiments.export import dump_json
-
-        dump_json(summary, args.out)
-        _note(args, f"wrote {args.out}")
-    print(f"live PRISMA, {args.jobs} tenants under one global controller "
-          f"(budget={args.budget} producer threads):")
-    for job in summary["jobs"]:
-        print(
-            f"  {job['name']}: {job['files']} files prefetched, "
-            f"hit rate {job['hit_rate']:.0%}, final producers {job['producers']}"
-        )
-    ctl = summary["control"]
-    print(
-        f"  control: {ctl['cycles']} cycles, {ctl['enforcements']} enforcements, "
-        f"{ctl['rpc_failures']} rpc failures"
-    )
-    return 0
-
-
-def _cmd_demo(_args) -> int:
-    from . import quick_demo
-
-    print(quick_demo())
-    return 0
-
-
 def _shared_flags() -> argparse.ArgumentParser:
-    """Parent parser carried by every command but ``demo``."""
+    """Parent parser carried by every command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("--out", metavar="FILE", help="also write results as JSON")
@@ -315,28 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         ]
         p.set_defaults(workload=wl, params=params, outputs=outputs)
 
-    pa = command("ablation", _cmd_ablation, "design-choice ablations")
-    pa.add_argument("which", choices=["autotune", "device", "period"])
-
-    pdist = command("distributed", _cmd_distributed, "multi-node training over a shared PFS")
-    pdist.add_argument("--nodes", nargs="+", type=int)
-
-    pmt = command("multitenant", _cmd_multitenant, "N jobs on shared storage, 3 control modes")
-    pmt.add_argument("--jobs", type=int, default=3)
-
-    command("latency", _cmd_latency, "per-read latency distribution, baseline vs PRISMA")
-
-    plive = command(
-        "live-demo", _cmd_live_demo,
-        "live PRISMA: N real prefetcher pools under one global controller",
-        shared=("out", "trace"),
-    )
-    plive.add_argument("--files", type=int, default=32, help="files per tenant")
-    plive.add_argument("--jobs", type=int, default=2, help="tenant count")
-    plive.add_argument(
-        "--budget", type=int, default=6, help="cluster-wide producer-thread budget"
-    )
-
     pt = command(
         "trace", _cmd_trace,
         "run one representative traced trial, write a Chrome-trace (--out)",
@@ -347,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[w.name for w in WORKLOADS.values() if "trace" in w.shared],
         help="which workload's trial to trace",
     )
-
-    pd = sub.add_parser("demo", help="tiny PRISMA-vs-baseline smoke demo")
-    pd.set_defaults(func=_cmd_demo, shared=frozenset())
 
     pp = command(
         "profile", _cmd_profile,

@@ -20,10 +20,10 @@ the documented CoorDL trade-off.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..simcore.event import Event
-from ..simcore.resources import FilterStore
+from ..simcore.resources import KeyedStore
 from ..telemetry import CounterSet, TimeWeightedGauge
 from .buffer import HIT_OVERHEAD, MEMORY_BANDWIDTH
 from .filename_queue import FilenameQueue
@@ -37,13 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class _SharedBuffer:
     """Path-keyed buffer whose entries survive until ``fanout`` takes each.
 
-    Entries are mutable ``[path, payload, remaining]`` cells; takes
-    decrement ``remaining`` *in place* (the slot is only freed when the
-    last owed copy is delivered), and consumers of absent paths park on an
-    explicit waiter list served directly at insert time.  Re-staging taken
-    entries through the store's put queue would instead race producers for
-    freed slots — the same starvation-deadlock class the live buffer's
-    demanded-path rule guards against.
+    A :class:`KeyedStore` whose puts owe ``fanout`` copies: each take hands
+    out one copy and the last one frees the slot.  The store's demanded-put
+    rule keeps a full buffer from starving the path every consumer waits
+    for.
     """
 
     def __init__(self, sim: "Simulator", capacity: int, fanout: int, name: str) -> None:
@@ -51,10 +48,8 @@ class _SharedBuffer:
             raise ValueError("capacity must be >= 1")
         if fanout < 1:
             raise ValueError("fanout must be >= 1")
-        self.sim = sim
         self.fanout = fanout
-        self._store: FilterStore = FilterStore(sim, capacity=capacity, name=name)
-        self._waiters: Dict[str, List[Event]] = {}
+        self._store = KeyedStore(sim, capacity=capacity, name=name)
         self.counters = CounterSet()
         self.occupancy = TimeWeightedGauge(sim, 0, name=f"{name}.occupancy")
 
@@ -71,69 +66,21 @@ class _SharedBuffer:
     def level(self) -> int:
         return self._store.level
 
-    def _find(self, path: str):
-        for item in self._store.items:
-            if item[0] == path:
-                return item
-        return None
-
-    def _release_slot(self, entry) -> None:
-        """Pop a fully-consumed entry, freeing its slot for producers."""
-        self._store.get(lambda it: it is entry)  # succeeds immediately
+    def _settled(self, _ev: Event) -> None:
         self.occupancy.set(self.level)
 
     def insert(self, path: str, payload) -> Event:
         self.counters.add("inserts")
-        done = Event(self.sim, name="shared.insert")
-        inner = self._store.put([path, payload, self.fanout])
-
-        def settled(ev: Event) -> None:
-            if not ev.ok:
-                done.fail(ev.exception)
-                return
-            self.occupancy.set(self.level)
-            self._serve_waiters(path)
-            done.succeed()
-
-        inner.add_callback(settled)
-        return done
-
-    def _serve_waiters(self, path: str) -> None:
-        waiters = self._waiters.get(path)
-        if not waiters:
-            return
-        entry = self._find(path)
-        if entry is None:
-            return
-        while waiters and entry[2] > 0:
-            waiter = waiters.pop(0)
-            entry[2] -= 1
-            waiter.succeed(entry[1])
-        if not waiters:
-            del self._waiters[path]
-        if entry[2] <= 0:
-            self._release_slot(entry)
+        put = self._store.put(path, payload, copies=self.fanout)
+        put.add_callback(self._settled)
+        return put
 
     def take(self, path: str) -> Event:
         """One consumer's copy of ``path``; value is the payload."""
-        done = Event(self.sim, name="shared.take")
-        entry = self._find(path)
-        if entry is not None:
-            self.counters.add("hits")
-            entry[2] -= 1
-            payload = entry[1]
-            if entry[2] <= 0:
-                self._release_slot(entry)
-            done.succeed(payload)
-            return done
-        self.counters.add("waits")
-        self._waiters.setdefault(path, []).append(done)
-        return done
-
-    def hit_rate(self) -> float:
-        hits = self.counters.get("hits")
-        total = hits + self.counters.get("waits")
-        return hits / total if total > 0 else 0.0
+        self.counters.add("hits" if self._store.contains(path) else "waits")
+        get = self._store.get(path)
+        get.add_callback(self._settled)
+        return get
 
 
 class SharedDatasetPrefetcher(OptimizationObject):

@@ -195,3 +195,20 @@ def control_period_sensitivity(
 
 def best_static(points: List[AblationPoint]) -> AblationPoint:
     return min(points, key=lambda p: p.paper_equivalent_seconds)
+
+
+#: The ``repro ablation`` choices.
+ABLATIONS = ("autotune", "device", "period")
+
+
+def run_ablation(which: str) -> Tuple[str, List[AblationPoint], Optional[AblationPoint]]:
+    """One named ablation as ``(title, points, baseline)`` for ``format_ablation``."""
+    if which == "autotune":
+        auto = autotune_point()
+        grid = static_grid()
+        return "Auto-tune vs static grid", [auto] + grid, best_static(grid)
+    if which == "device":
+        return "Device sensitivity", device_sensitivity(), None
+    if which == "period":
+        return "Control-period sensitivity", control_period_sensitivity(), None
+    raise ValueError(f"unknown ablation {which!r}; choose from {ABLATIONS}")

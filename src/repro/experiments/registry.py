@@ -18,14 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
+from .. import quick_demo
+from ..core.live.demo import format_live_demo, run_live_demo
 from ..frameworks.models import LENET, MODEL_ZOO, ModelProfile
 from ..perfmodel import write_samples_jsonl
 from ..simcore import Simulator
 from ..simcore.workloads import canonical_mixed_workload
+from .ablation import ABLATIONS, run_ablation
 from .clairvoyant import format_clairvoyant, run_clairvoyant_comparison
 from .cluster import format_cluster_sweep, run_cluster_sweep
 from .config import figure2_scale, figure4_scale
 from .export import figure2_to_dict, figure3_to_dict, figure4_to_dict
+from .extensions import (
+    format_distributed_sweep,
+    format_latency,
+    format_multitenant,
+    run_distributed_sweep,
+    run_latency_comparison,
+    run_multitenant_comparison,
+)
 from .faults import format_fault_sweep, run_fault_sweep
 from .figure2 import DEFAULT_BATCHES, run_figure2
 from .figure3 import run_figure3
@@ -35,6 +46,7 @@ from .report import (
     figure2_chart,
     figure3_chart,
     figure4_chart,
+    format_ablation,
     format_figure2,
     format_figure3,
     format_figure4,
@@ -236,6 +248,50 @@ _WORKLOADS = (
         format=format_predictive,
         ok=lambda report: all(r.live_parity and not r.fell_back for r in report.results),
         shared=frozenset({"seed", "out"}),
+    ),
+    Workload(
+        "ablation", "design-choice ablations",
+        run=lambda seed, telemetry, which: run_ablation(which),
+        trial=dict(which="period"),
+        flags=(("which", dict(choices=ABLATIONS)),),
+        format=lambda result: format_ablation(*result),
+        shared=frozenset(),
+    ),
+    Workload(
+        "distributed", "multi-node training over a shared PFS",
+        run=lambda seed, telemetry, **p: run_distributed_sweep(**p),
+        flags=(("--nodes", dict(dest="node_counts", nargs="+", type=int)),),
+        format=format_distributed_sweep,
+        shared=frozenset(),
+    ),
+    Workload(
+        "multitenant", "N jobs on shared storage, 3 control modes",
+        run=lambda seed, telemetry, **p: run_multitenant_comparison(**p),
+        flags=(("--jobs", dict(dest="n_jobs", type=int)),),
+        format=format_multitenant,
+        shared=frozenset(),
+    ),
+    Workload(
+        "latency", "per-read latency distribution, baseline vs PRISMA",
+        run=lambda seed, telemetry: run_latency_comparison(),
+        format=format_latency,
+        shared=frozenset(),
+    ),
+    Workload(
+        "live-demo", "live PRISMA: N real prefetcher pools under one global controller",
+        run=lambda seed, telemetry, **p: run_live_demo(telemetry=telemetry, **p),
+        flags=(
+            ("--files", dict(type=int, help="files per tenant")),
+            ("--jobs", dict(type=int, help="tenant count")),
+            ("--budget", dict(type=int, help="cluster-wide producer-thread budget")),
+        ),
+        format=format_live_demo,
+        shared=frozenset({"out", "trace"}),
+    ),
+    Workload(
+        "demo", "tiny PRISMA-vs-baseline smoke demo",
+        run=lambda seed, telemetry: quick_demo(),
+        shared=frozenset(),
     ),
     Workload(
         "simcore", "canonical mixed kernel workload",

@@ -43,7 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.control.rpc import ControlChannel
     from ..core.prefetcher import ParallelPrefetcher
     from ..simcore.kernel import Simulator
-    from ..telemetry import Tracer
     from ..storage.device import BlockDevice
 
 
@@ -53,21 +52,19 @@ class FaultInjector:
     Attach targets first (:meth:`attach_device` & friends), then
     :meth:`install` one or more plans.  Counters
     (``faults_injected``, per-kind counts, ``read_errors_injected``)
-    feed the fault-sweep report and the chaos tests; pass a
-    :class:`~repro.telemetry.Tracer` to get ``fault.begin`` /
-    ``fault.end`` rows on the experiment trace.
+    feed the fault-sweep report and the chaos tests.  With a telemetry
+    hub attached to the simulator, every window edge is also a
+    ``fault.begin`` / ``fault.end`` instant on the ``fault`` category.
     """
 
     def __init__(
         self,
         sim: "Simulator",
         streams: Optional[RandomStreams] = None,
-        tracer: Optional["Tracer"] = None,
         name: str = "faults",
     ) -> None:
         self.sim = sim
         self.name = name
-        self.tracer = tracer
         self.counters = CounterSet()
         self._rng = (streams or RandomStreams(0)).stream(f"{name}.reads")
         self._devices: List["BlockDevice"] = []
@@ -125,11 +122,12 @@ class FaultInjector:
 
     # -- event firing -------------------------------------------------------------
     def _trace(self, edge: str, ev: FaultEvent, detail: Optional[Dict[str, Any]] = None) -> None:
-        if self.tracer is not None:
-            payload = {"kind": ev.kind, "severity": ev.severity, "target": ev.target}
-            if detail:
-                payload.update(detail)
-            self.tracer.record(f"fault.{edge}", payload)
+        tel = self.sim.telemetry
+        if tel is not None:
+            tel.instant(
+                f"fault.{edge}", self.name, "fault",
+                kind=ev.kind, severity=ev.severity, target=ev.target, **(detail or {}),
+            )
 
     def _begin(self, ev: FaultEvent) -> None:
         self.counters.add("faults_injected")

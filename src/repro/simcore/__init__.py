@@ -11,8 +11,8 @@ control planes).  It provides:
 * Events: :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf`;
   the :class:`Sink` protocol (``succeed``/``fail``) that request paths
   settle directly, and :class:`Continuation`, a sink of two callables.
-* Resources: :class:`Store`, :class:`FilterStore`, :class:`KeyedStore`
-  (O(1) key-addressed buffering over a :class:`KeyedIndex`),
+* Resources: :class:`Store`, :class:`KeyedStore` (O(1) key-addressed
+  buffering over a :class:`KeyedIndex`, with per-item copy counts),
   :class:`Resource`, :class:`Lock`, :class:`Container`.  Pending
   operations are :class:`RequestEvent`\\ s with an explicit run-queue
   state (``WAITING``/``READY``/``RUNNING``/``CANCELLED``).
@@ -40,7 +40,6 @@ from .resources import (
     RUNNING,
     WAITING,
     Container,
-    FilterStore,
     KeyedIndex,
     KeyedStore,
     KeyedStoreGet,
@@ -64,7 +63,6 @@ __all__ = [
     "DuplicateRequestError",
     "Event",
     "EventAlreadyTriggered",
-    "FilterStore",
     "Interrupt",
     "KeyedIndex",
     "KeyedStore",

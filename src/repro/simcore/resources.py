@@ -3,12 +3,10 @@
 Provides the building blocks the storage and framework simulators need:
 
 * :class:`Store` — bounded FIFO of items (producer/consumer buffer).
-* :class:`FilterStore` — like ``Store`` but ``get`` takes a predicate; kept
-  for generic predicates, but each dispatch re-evaluates every queued getter
-  against every buffered item — O(getters × items).
-* :class:`KeyedStore` — the fast path for key-addressed buffers: items
-  indexed by key in a dict with per-key waiter lists, so ``put``/``get`` by
-  key are O(1).  PRISMA's prefetch buffer and the page cache ride on this.
+* :class:`KeyedStore` — the key-addressed buffer: items indexed by key in a
+  dict with per-key waiter lists, so ``put``/``get`` by key are O(1).  An
+  item may owe several copies (one per consumer) before it is evicted.
+  PRISMA's prefetch buffer and shared-dataset buffer ride on this.
 * :class:`KeyedIndex` — the synchronous ordered key→item map underneath
   :class:`KeyedStore`, reusable wherever O(1) keyed lookup with FIFO/LRU
   ordering is needed without event semantics.
@@ -26,7 +24,6 @@ from collections import OrderedDict, deque
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Deque,
     Dict,
     Hashable,
@@ -121,11 +118,10 @@ class StorePut(RequestEvent):
 class StoreGet(RequestEvent):
     """Pending ``get`` request; triggers with the retrieved item."""
 
-    __slots__ = ("predicate",)
+    __slots__ = ()
 
-    def __init__(self, store: "Store", predicate: Optional[Callable[[Any], bool]] = None) -> None:
+    def __init__(self, store: "Store") -> None:
         super().__init__(store.sim, name=store._get_name)
-        self.predicate = predicate
 
 
 class Store:
@@ -231,50 +227,6 @@ class Store:
         )
 
 
-class FilterStore(Store):
-    """Store whose ``get`` may demand a specific item via a predicate.
-
-    Getters scan the buffer for the first matching item.  Non-matching
-    getters stay queued without blocking others (each getter is evaluated
-    independently) — this models a keyed prefetch buffer where consumer *i*
-    waits for file *i* regardless of arrival order.
-    """
-
-    def get(self, predicate: Optional[Callable[[Any], bool]] = None) -> StoreGet:  # type: ignore[override]
-        event = StoreGet(self, predicate)
-        self._getters.append(event)
-        self._dispatch()
-        return event
-
-    def _try_get(self, event: StoreGet) -> bool:
-        if event.predicate is None:
-            return super()._try_get(event)
-        for idx, item in enumerate(self.items):
-            if event.predicate(item):
-                self._account()
-                del self.items[idx]
-                event.succeed(item)
-                return True
-        return False
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and self._try_put(self._putters[0]):
-                self._putters.popleft()
-                progress = True
-            # Unlike the FIFO store, evaluate *every* getter: a later getter
-            # may match while an earlier one keeps waiting.
-            remaining: Deque[StoreGet] = deque()
-            for getter in self._getters:
-                if self._try_get(getter):
-                    progress = True
-                else:
-                    remaining.append(getter)
-            self._getters = remaining
-
-
 class KeyedIndex:
     """Synchronous, insertion-ordered ``key -> item`` map with O(1) ops.
 
@@ -347,12 +299,13 @@ class KeyedStorePut(RequestEvent):
     a keyed store holds exactly one item per key.
     """
 
-    __slots__ = ("key", "item")
+    __slots__ = ("key", "item", "copies")
 
-    def __init__(self, store: "KeyedStore", key: Hashable, item: Any) -> None:
+    def __init__(self, store: "KeyedStore", key: Hashable, item: Any, copies: int) -> None:
         super().__init__(store.sim, name=store._put_name)
         self.key = key
         self.item = item
+        self.copies = copies
 
 
 class KeyedStoreGet(RequestEvent):
@@ -368,24 +321,29 @@ class KeyedStoreGet(RequestEvent):
 class KeyedStore(Store):
     """Bounded store addressed by key: O(1) put, O(1) get-by-key.
 
-    This replaces :class:`FilterStore` on PRISMA's hot path.  Where the
-    filter store re-evaluates every queued getter against every buffered
-    item on each dispatch (O(getters × items) — quadratic across an epoch),
-    the keyed store holds items in a :class:`KeyedIndex` and parks each
-    getter on a *per-key* waiter list, so an insert wakes exactly the
-    consumers of that key.
+    Items live in a :class:`KeyedIndex` and each getter parks on a
+    *per-key* waiter list, so an insert wakes exactly the consumers of that
+    key.
 
     Semantics:
 
-    * ``put(key, item)`` queues FIFO behind earlier putters and blocks
-      (event-wise) while the store is at capacity — producer fairness is
-      identical to :class:`Store`.  A put for a key that is already
-      buffered fails with :class:`DuplicateKeyError` instead of silently
-      shadowing the first item.
-    * ``get(key)`` triggers immediately when the key is buffered (evicting
-      the item) or parks on the key's waiter list until a producer delivers
-      it.  Waiters for the same key are served FIFO.
-    * ``get()`` (no key) takes the oldest buffered item, FIFO.
+    * ``put(key, item, copies=1)`` queues FIFO behind earlier putters and
+      blocks (event-wise) while the store is at capacity — producer
+      fairness is identical to :class:`Store`.  A put for a key that is
+      already buffered fails with :class:`DuplicateKeyError` instead of
+      silently shadowing the first item.  ``copies`` is how many gets the
+      item owes before it is evicted (one per consumer of a shared item).
+    * ``get(key)`` triggers immediately when the key is buffered (taking
+      one copy; the last copy evicts the item) or parks on the key's waiter
+      list until a producer delivers it.  Waiters for the same key are
+      served FIFO.
+    * ``get()`` (no key) takes a copy of the oldest buffered item, FIFO.
+    * **Demanded puts.**  A queued put whose key has enough parked getters
+      to take every copy is admitted past capacity, whether the getters or
+      the put came first.  Otherwise the producer holding the item every
+      consumer waits for can queue behind siblings whose later items fill
+      the store: a deadlock.  Such an item leaves as it arrives, so the
+      level passes capacity by one only for that instant.
 
     Keys must be hashable and not ``None`` (``None`` selects the any-key
     FIFO path).
@@ -396,6 +354,8 @@ class KeyedStore(Store):
         self._put_name = "kput:" + name
         self._get_name = "kget:" + name
         self.index = KeyedIndex()
+        #: copies still owed, for buffered keys put with ``copies > 1``
+        self._owed: Dict[Hashable, int] = {}
         self._waiters: Dict[Hashable, Deque[KeyedStoreGet]] = {}
         self._any_waiters: Deque[KeyedStoreGet] = deque()
 
@@ -420,8 +380,10 @@ class KeyedStore(Store):
         return list(self._waiters)
 
     # -- operations ------------------------------------------------------------
-    def put(self, key: Hashable, item: Any = None) -> KeyedStorePut:  # type: ignore[override]
-        event = KeyedStorePut(self, key, item)
+    def put(self, key: Hashable, item: Any = None, copies: int = 1) -> KeyedStorePut:  # type: ignore[override]
+        if copies < 1:
+            raise ValueError("copies must be >= 1")
+        event = KeyedStorePut(self, key, item, copies)
         self._putters.append(event)
         self._dispatch()
         return event
@@ -431,18 +393,18 @@ class KeyedStore(Store):
         if key is None:
             if self.index:
                 self._account()
-                _, item = self.index.pop_oldest()
-                event.succeed(item)
+                event.succeed(self._take(next(iter(self.index))))
                 self._dispatch()  # a slot freed: admit a queued putter
             else:
                 self._any_waiters.append(event)
+        elif key in self.index:
+            self._account()
+            event.succeed(self._take(key))
+            self._dispatch()
         else:
-            if key in self.index:
-                self._account()
-                event.succeed(self.index.pop(key))
-                self._dispatch()
-            else:
-                self._waiters.setdefault(key, deque()).append(event)
+            self._waiters.setdefault(key, deque()).append(event)
+            if self._putters:
+                self._dispatch()  # the key may now be demanded
         return event
 
     def discard(self, key: Hashable) -> Any:
@@ -450,6 +412,7 @@ class KeyedStore(Store):
         if key not in self.index:
             return None
         self._account()
+        self._owed.pop(key, None)
         item = self.index.pop(key)
         self._dispatch()
         return item
@@ -479,46 +442,72 @@ class KeyedStore(Store):
         raise SimulationError(f"{event!r} is not waiting on {self.name!r}")
 
     # -- dispatch --------------------------------------------------------------
+    def _take(self, key: Hashable) -> Any:
+        """One copy of ``key``'s item; the last owed copy evicts it."""
+        owed = self._owed.pop(key, 1)
+        if owed > 1:
+            self._owed[key] = owed - 1
+            return self.index.get(key)
+        return self.index.pop(key)
+
     def _try_put(self, event: KeyedStorePut) -> bool:  # type: ignore[override]
-        if event.key in self.index:
-            # Consumed from the queue but failed: one item per key.
-            event.fail(
-                DuplicateKeyError(
-                    f"put({event.key!r}) on {self.name!r}: key already buffered"
-                )
-            )
-            return True
-        if self.level >= self.capacity:
+        if self.level >= self.capacity and event.key not in self.index:
             return False
-        self._account()
-        self.index.put(event.key, event.item)
-        self.peak_items = max(self.peak_items, self.level)
-        event.succeed()
-        self._serve_waiters(event.key)
+        self._admit(event)
         return True
 
+    def _admit(self, event: KeyedStorePut) -> None:
+        """Insert a dequeued put's item and hand it to its key's waiters."""
+        key = event.key
+        if key in self.index:
+            # Consumed from the queue but failed: one item per key.
+            event.fail(
+                DuplicateKeyError(f"put({key!r}) on {self.name!r}: key already buffered")
+            )
+            return
+        self._account()
+        self.index.put(key, event.item)
+        if event.copies > 1:
+            self._owed[key] = event.copies
+        self.peak_items = max(self.peak_items, self.level)
+        event.succeed()
+        self._serve_waiters(key)
+
     def _serve_waiters(self, key: Hashable) -> None:
-        """Hand a just-inserted key to its first parked getter, if any."""
+        """Hand a just-inserted key to its parked getters, one copy each."""
         waiters = self._waiters.get(key)
         if waiters:
-            waiter = waiters.popleft()
+            while waiters and key in self.index:
+                waiter = waiters.popleft()
+                self._account()
+                waiter.succeed(self._take(key))
             if not waiters:
                 del self._waiters[key]
-            self._account()
-            waiter.succeed(self.index.pop(key))
             return
         if self._any_waiters:
             waiter = self._any_waiters.popleft()
             self._account()
-            _, item = self.index.pop_oldest()
-            waiter.succeed(item)
+            waiter.succeed(self._take(next(iter(self.index))))
+
+    def _admit_demanded(self) -> bool:
+        """Admit the first queued put whose parked getters take every copy."""
+        for event in self._putters:
+            if len(self._waiters.get(event.key, ())) >= event.copies:
+                self._putters.remove(event)
+                self._admit(event)
+                return True
+        return False
 
     def _dispatch(self) -> None:
-        # Waiter hand-off happens inside _try_put (an insert wakes exactly
-        # the consumers of that key), so dispatch only admits putters; each
-        # hand-off frees a slot, letting the loop admit the next putter.
-        while self._putters and self._try_put(self._putters[0]):
-            self._putters.popleft()
+        # Waiter hand-off happens inside _admit (an insert wakes exactly the
+        # consumers of that key), so dispatch only admits putters; each
+        # hand-off of a last copy frees a slot, letting the loop admit the
+        # next putter.
+        while True:
+            while self._putters and self._try_put(self._putters[0]):
+                self._putters.popleft()
+            if not (self._putters and self._waiters and self._admit_demanded()):
+                return
 
     def __repr__(self) -> str:
         waiting = sum(len(w) for w in self._waiters.values()) + len(self._any_waiters)

@@ -44,7 +44,6 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorders import LatencyRecorder, LatencySummary
 from .snapshot import MetricsSnapshot
 from .spans import PHASE_DURATION, PHASE_INSTANT, CounterSample, Span, TraceContext
-from .tracer import Tracer, TraceRecord
 
 __all__ = [
     # hub + span model
@@ -67,9 +66,6 @@ __all__ = [
     "LatencyRecorder",
     "LatencySummary",
     "MetricsSnapshot",
-    # row tracer
-    "Tracer",
-    "TraceRecord",
     # exporters
     "chrome_trace_events",
     "validate_chrome_trace",

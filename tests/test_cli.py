@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -133,3 +135,27 @@ def test_trace_rejects_trace_flag(tmp_path, monkeypatch):
     assert main(["trace", "--experiment", "faults-demo", "--trace", str(target)]) == 2
     assert not target.exists()
     assert not (tmp_path / "trace.json").exists()
+
+
+def test_profile_accepts_a_registry_command():
+    args = build_parser().parse_args(["profile", "ablation", "--top", "3"])
+    assert args.workload == "ablation"
+
+
+#: SHA-256 of each command's stdout, recorded from the hand-written
+#: commands these registry workloads replaced.
+_STDOUT_SHA256 = {
+    "demo": "77833dc4bb54155b5070360f904420a7fa347d3f0c3bd87e79ea2142a98f2edb",
+    "latency": "a080fd7d528d13d4baaaf27ceb866b75d069f580b4511963031f070386b57c61",
+    "multitenant": "29066989fffbc02fffb662e15e049fc56f10705bc181a19f14c121a20afa90c1",
+    "distributed": "80fcafcf7916576be0ee80524b37c76e19bbc5f365be1f90d30ad1ee0738389f",
+    "ablation period": "28b6cbb3e44c87e343e2ef6d04e0179fabf20f4536176d04e69328136c5785b5",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", sorted(_STDOUT_SHA256))
+def test_command_stdout_is_pinned(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[command]

@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import ParallelPrefetcher, PrismaStage, TuningSettings
 from repro.core.tiering import TieringObject
-from repro.dataset import tiny_dataset
+from repro.dataset import imagenet_like, tiny_dataset
 from repro.simcore import DuplicateRequestError, Event, RandomStreams, Simulator
-from repro.storage import BlockDevice, Filesystem, PosixLayer, ramdisk, sata_hdd
+from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, ramdisk, sata_hdd
 
 
 def make_env(n_train=32, profile=None):
@@ -227,6 +227,31 @@ def test_prefetcher_capacity_retarget_mid_epoch():
 
 
 # ---------------------------------------------------------------- PrismaStage
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prefetcher_full_buffer_does_not_starve_demanded_path(seed):
+    """Eight producers over a 16-sample buffer (both inside the autotuner's
+    bounds): siblings fill the buffer with later paths while the demanded
+    path's put waits behind them.  The demanded put must be admitted."""
+    sim = Simulator()
+    fs = Filesystem(sim, BlockDevice(sim, intel_p4600()))
+    split = imagenet_like(RandomStreams(seed), scale=2000)
+    split.train.materialize(fs)
+    pf = ParallelPrefetcher(sim, PosixLayer(sim, fs), producers=8, buffer_capacity=16)
+    paths = split.train.filenames()
+    pf.on_epoch(paths)
+    served = []
+
+    def consumer():
+        for path in paths:
+            yield pf.serve(path)
+            served.append(path)
+
+    sim.process(consumer())
+    sim.run()
+    assert served == paths
+    assert pf.buffer._store.peak_items <= 16 + 1  # capacity + consumers
+
+
 def test_stage_posix_facade_roundtrip():
     sim, posix, split = make_env()
     pf = ParallelPrefetcher(sim, posix, producers=2, buffer_capacity=64)

@@ -466,6 +466,21 @@ def test_full_storm_counts_all_recovery_machinery():
     assert report.degraded_engagements >= 1
 
 
+def test_traced_fault_storm_marks_every_window_edge(tmp_path):
+    from repro.cli import main
+
+    out = tmp_path / "faults.json"
+    assert main(["trace", "--experiment", "faults-demo", "--out", str(out), "--quiet"]) == 0
+    edges = [
+        (e["name"], e["args"]["kind"])
+        for e in json.loads(out.read_text())["traceEvents"]
+        if e.get("cat") == "fault" and e["ph"] == "i"
+    ]
+    kinds = {event.kind for event in demo_plan()}
+    assert sorted(k for name, k in edges if name == "fault.begin") == sorted(kinds)
+    assert {k for name, k in edges if name == "fault.end"} == kinds - {PRODUCER_CRASH}
+
+
 # ---------------------------------------------------------------- determinism
 def test_fault_sweep_is_byte_identical_across_runs():
     def run():

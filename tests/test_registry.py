@@ -25,9 +25,10 @@ def test_profile_and_trace_names_come_from_the_registry():
 
 def test_every_command_workload_is_a_subcommand():
     parser = build_parser()
+    required = {"ablation": ["period"]}  # positional arguments
     for wl in WORKLOADS.values():
         if wl.command:
-            args = parser.parse_args([wl.name])
+            args = parser.parse_args([wl.name] + required.get(wl.name, []))
             assert args.workload is wl
 
 

@@ -74,3 +74,38 @@ def test_format_ablation_renders():
     assert "Sweep" in text
     assert "2.00x" in text
     assert "k=2" in text
+
+
+_FIGURE3_SCRIPT = """
+from repro.experiments.figure3 import Figure3Curve, Figure3Result
+from repro.experiments.report import format_figure3
+from repro.metrics.cdf import DiscreteCDF
+
+curves = []
+for model in ("lenet", "alexnet", "resnet50"):
+    curves.append(Figure3Curve(model, "tf-optimized", DiscreteCDF((4.0, 16.0), (0.5, 1.0)), None))
+    curves.append(Figure3Curve(model, "tf-prisma", DiscreteCDF((2.0, 4.0), (0.5, 1.0)), None))
+print(format_figure3(Figure3Result(curves)))
+"""
+
+
+def test_format_figure3_rows_do_not_follow_hash_randomization():
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+    def render(hash_seed):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+        return subprocess.run(
+            [sys.executable, "-c", _FIGURE3_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+
+    text = render("1")
+    assert text == render("3")
+    ratio_rows = text.split("thread ratio")[1].splitlines()[3:]
+    assert [row.split()[0] for row in ratio_rows] == ["lenet", "alexnet", "resnet50"]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PrismaStage, SharedDatasetPrefetcher, TuningSettings
-from repro.dataset import tiny_dataset
+from repro.dataset import imagenet_like, tiny_dataset
 from repro.simcore import RandomStreams, Simulator
 from repro.storage import BlockDevice, Filesystem, PosixLayer, intel_p4600, ramdisk
 
@@ -174,3 +174,32 @@ def test_shared_multi_epoch():
     p = sim.process(epochs())
     sim.run(until=p)
     assert pf.files_fetched == 16  # 8 files x 2 epochs, once each
+
+
+def test_shared_full_buffer_does_not_starve_demanded_path():
+    """Two producers, a four-slot buffer and three in-order consumers: a
+    slow read of the path every consumer waits for must not queue forever
+    behind later paths that fill the buffer."""
+    sim = Simulator()
+    fs = Filesystem(sim, BlockDevice(sim, intel_p4600()))
+    split = imagenet_like(RandomStreams(0), scale=2000)
+    split.train.materialize(fs)
+    pf = SharedDatasetPrefetcher(
+        sim, PosixLayer(sim, fs), consumers=3, producers=2, buffer_capacity=4
+    )
+    paths = split.train.filenames()
+    pf.on_epoch(paths)
+    served = [0, 0, 0]
+
+    def consumer(cid):
+        for path in paths:
+            yield pf.serve(path)
+            served[cid] += 1
+
+    for cid in range(3):
+        sim.process(consumer(cid))
+    sim.run()
+    assert served == [len(paths)] * 3
+    assert pf.files_fetched == len(paths)
+    assert pf.buffer._store.peak_items <= 4 + 3  # capacity + consumers
+    assert pf.buffer.level == 0

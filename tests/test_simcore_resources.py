@@ -5,7 +5,6 @@ import pytest
 from repro.simcore import (
     Container,
     DuplicateKeyError,
-    FilterStore,
     KeyedIndex,
     KeyedStore,
     Lock,
@@ -116,63 +115,6 @@ def test_store_mean_occupancy_time_weighted():
     sim.run()
     # 10 s at level 1 + 10 s at level 2 = mean 1.5
     assert store.mean_occupancy() == pytest.approx(1.5)
-
-
-# ---------------------------------------------------------------- FilterStore
-def test_filterstore_get_by_predicate():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def producer(sim, store):
-        for name in ("a", "b", "c"):
-            yield store.put(name)
-
-    def consumer(sim, store):
-        item = yield store.get(lambda x: x == "c")
-        got.append(item)
-
-    sim.process(consumer(sim, store))
-    sim.process(producer(sim, store))
-    sim.run()
-    assert got == ["c"]
-    assert list(store.items) == ["a", "b"]
-
-
-def test_filterstore_later_getter_can_overtake():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def wait_for(sim, store, key, tag):
-        item = yield store.get(lambda x, key=key: x == key)
-        got.append((tag, item, sim.now))
-
-    def producer(sim, store):
-        yield sim.timeout(1.0)
-        yield store.put("late")  # matches the *second* getter
-
-    sim.process(wait_for(sim, store, "never", "first"))
-    sim.process(wait_for(sim, store, "late", "second"))
-    sim.process(producer(sim, store))
-    sim.run(until=5.0)
-    assert got == [("second", "late", 1.0)]
-
-
-def test_filterstore_plain_get_still_fifo():
-    sim = Simulator()
-    store = FilterStore(sim)
-    got = []
-
-    def scenario(sim, store):
-        yield store.put(1)
-        yield store.put(2)
-        got.append((yield store.get()))
-        got.append((yield store.get()))
-
-    sim.process(scenario(sim, store))
-    sim.run()
-    assert got == [1, 2]
 
 
 # ---------------------------------------------------------------- capacity normalization
@@ -453,6 +395,119 @@ def test_keyedstore_occupancy_accounting():
     sim.run()
     assert store.mean_occupancy() == pytest.approx(1.5)
     assert store.peak_items == 2
+
+
+def test_keyedstore_copies_evict_on_last_take():
+    sim = Simulator()
+    store = KeyedStore(sim, capacity=1)
+    got = []
+
+    def consumer(tag):
+        got.append((tag, (yield store.get("k")), sim.now))
+
+    def scenario():
+        sim.process(consumer("parked"))  # waits before the put
+        yield store.put("k", "K", copies=3)
+        assert store.level == 1 and store.peek("k") == "K"
+        blocked = store.put("next", "N")  # full until the last copy goes
+        yield sim.timeout(1.0)
+        got.append(("hit", (yield store.get("k")), sim.now))
+        assert store.contains("k") and not blocked.triggered
+        yield sim.timeout(1.0)
+        got.append(("last", (yield store.get("k")), sim.now))
+        yield blocked
+        assert not store.contains("k") and store.contains("next")
+
+    p = sim.process(scenario())
+    sim.run(until=p)
+    assert got == [("parked", "K", 0.0), ("hit", "K", 1.0), ("last", "K", 2.0)]
+
+
+def test_keyedstore_copies_serve_every_parked_waiter():
+    sim = Simulator()
+    store = KeyedStore(sim)
+    got = []
+
+    def consumer(tag):
+        got.append((tag, (yield store.get("k"))))
+
+    for tag in range(3):
+        sim.process(consumer(tag))
+    sim.run()
+    store.put("k", "K", copies=2)  # two of the three parked getters
+    sim.run()
+    assert got == [(0, "K"), (1, "K")]
+    assert store.level == 0 and store.waiting("k") == 1
+
+
+def test_keyedstore_rejects_zero_copies():
+    with pytest.raises(ValueError):
+        KeyedStore(Simulator()).put("k", 1, copies=0)
+
+
+def test_keyedstore_demanded_put_admitted_past_capacity():
+    """A full store of later items must not starve the demanded one."""
+    sim = Simulator()
+    store = KeyedStore(sim, capacity=2)
+    store.put("b", "B")
+    store.put("c", "C")  # full of later keys
+    got = []
+
+    def consumer():
+        for key in ("a", "b", "c"):
+            got.append(((yield store.get(key)), sim.now))
+
+    def producer():
+        yield sim.timeout(1.0)
+        yield store.put("a", "A")  # the demanded put arrives at capacity
+
+    sim.process(consumer())
+    sim.process(producer())
+    sim.run()
+    assert got == [("A", 1.0), ("B", 1.0), ("C", 1.0)]
+    assert store.peak_items == 3
+
+
+def test_keyedstore_parked_getter_admits_queued_put():
+    sim = Simulator()
+    store = KeyedStore(sim, capacity=1)
+    got = []
+
+    def scenario():
+        yield store.put("b", "B")
+        late = store.put("a", "A")  # queued: full
+        yield sim.timeout(1.0)
+        got.append(((yield store.get("a")), sim.now))  # demands it
+        assert late.ok
+        got.append(((yield store.get("b")), sim.now))
+
+    p = sim.process(scenario())
+    sim.run(until=p)
+    assert got == [("A", 1.0), ("B", 1.0)]
+    assert store.peak_items == 2
+
+
+def test_keyedstore_demanded_put_waits_for_every_copy():
+    """A shared item is admitted past capacity only once its parked getters
+    take every copy; otherwise it would go on holding a slot."""
+    sim = Simulator()
+    store = KeyedStore(sim, capacity=1)
+    store.put("b", "B", copies=2)  # full of a later key
+    late = store.put("a", "A", copies=2)
+    got = []
+
+    def consumer(tag, delay):
+        yield sim.timeout(delay)
+        for key in ("a", "b"):
+            got.append((tag, (yield store.get(key)), sim.now))
+
+    sim.process(consumer(0, 0.0))
+    sim.process(consumer(1, 1.0))
+    sim.run(until=0.5)
+    assert not late.triggered  # one getter of two copies
+    sim.run()
+    assert got == [(0, "A", 1.0), (1, "A", 1.0), (0, "B", 1.0), (1, "B", 1.0)]
+    assert store.level == 0 and store.peak_items == 2
 
 
 # ---------------------------------------------------------------- Resource / Lock

@@ -1,35 +1,10 @@
-"""Unit tests for tracing, gauges, counters, and RNG streams."""
+"""Unit tests for gauges, counters, and RNG streams."""
 
 import numpy as np
 import pytest
 
 from repro.simcore import RandomStreams, Simulator
-from repro.telemetry import CounterSet, TimeWeightedGauge, Tracer
-
-
-# ---------------------------------------------------------------- Tracer
-def test_tracer_records_time_and_category():
-    sim = Simulator()
-    tracer = Tracer(sim)
-
-    def proc(sim, tracer):
-        tracer.record("io", {"bytes": 10})
-        yield sim.timeout(5.0)
-        tracer.record("io", {"bytes": 20})
-        tracer.record("cpu", "step")
-
-    sim.process(proc(sim, tracer))
-    sim.run()
-    assert len(tracer) == 3
-    assert [r.time for r in tracer.category("io")] == [0.0, 5.0]
-    assert tracer.categories() == ["cpu", "io"]
-
-
-def test_tracer_disabled_drops_records():
-    sim = Simulator()
-    tracer = Tracer(sim, enabled=False)
-    tracer.record("io")
-    assert len(tracer) == 0
+from repro.telemetry import CounterSet, TimeWeightedGauge
 
 
 # ---------------------------------------------------------------- TimeWeightedGauge

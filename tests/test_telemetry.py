@@ -326,6 +326,7 @@ def test_prisma_config_validates_fields():
     [
         ("repro.simcore", "CounterSet"),
         ("repro.simcore", "Tracer"),
+        ("repro.telemetry", "Tracer"),
         ("repro.metrics.timeseries", "LatencyRecorder"),
         ("repro.metrics", "LatencySummary"),
         ("repro.core.control", "MetricsSnapshot"),
